@@ -34,7 +34,7 @@ escape(const std::string &s)
 
 namespace {
 
-/** Append @p cp (a BMP code point) to @p out as UTF-8. */
+/** Append @p cp (a Unicode scalar value) to @p out as UTF-8. */
 void
 appendUtf8(std::string &out, unsigned cp)
 {
@@ -43,8 +43,13 @@ appendUtf8(std::string &out, unsigned cp)
     } else if (cp < 0x800) {
         out += static_cast<char>(0xc0 | (cp >> 6));
         out += static_cast<char>(0x80 | (cp & 0x3f));
-    } else {
+    } else if (cp < 0x10000) {
         out += static_cast<char>(0xe0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else {
+        out += static_cast<char>(0xf0 | (cp >> 18));
+        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
         out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
         out += static_cast<char>(0x80 | (cp & 0x3f));
     }
@@ -62,265 +67,434 @@ hexVal(char c)
     return -1;
 }
 
-} // anonymous namespace
-
-std::string
-unescape(const std::string &s)
+bool
+isDigit(char c)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t p = 0; p < s.size(); ++p) {
-        const char c = s[p];
-        if (c != '\\') {
-            out += c;
-            continue;
-        }
-        if (p + 1 >= s.size()) {
-            out += c;   // lone trailing backslash: keep verbatim
-            break;
-        }
-        const char e = s[++p];
-        switch (e) {
-          case '"':  out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/':  out += '/'; break;
-          case 'b':  out += '\b'; break;
-          case 'f':  out += '\f'; break;
-          case 'n':  out += '\n'; break;
-          case 'r':  out += '\r'; break;
-          case 't':  out += '\t'; break;
-          case 'u': {
-            unsigned cp = 0;
-            bool ok = p + 4 < s.size();
-            for (int i = 1; ok && i <= 4; ++i) {
-                const int v = hexVal(s[p + i]);
-                if (v < 0)
-                    ok = false;
-                else
-                    cp = (cp << 4) | static_cast<unsigned>(v);
-            }
-            if (ok) {
-                appendUtf8(out, cp);
-                p += 4;
-            } else {
-                out += '\\';
-                out += 'u';
-            }
-            break;
-          }
-          default:
-            // Unknown escape: keep both chars rather than guess.
-            out += '\\';
-            out += e;
-        }
-    }
-    return out;
+    return c >= '0' && c <= '9';
 }
 
-std::size_t
-valuePos(const std::string &obj, const std::string &key)
+/** Recursion bound: hostile input must not overflow the stack. */
+constexpr unsigned maxDepth = 256;
+
+/** Recursive-descent parser over one document. */
+class Parser
 {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = obj.find(needle);
-    if (at == std::string::npos)
-        return std::string::npos;
-    std::size_t p = at + needle.size();
-    while (p < obj.size() &&
-           (obj[p] == ' ' || obj[p] == '\n' || obj[p] == '\t' ||
-            obj[p] == '\r')) {
+  public:
+    explicit Parser(const std::string &text) : s(text) {}
+
+    Value
+    document()
+    {
+        Value v = value(0);
+        ws();
+        if (p < s.size())
+            fail("trailing content after the document");
+        return v;
+    }
+
+  private:
+    const std::string &s;
+    std::size_t p = 0;
+
+    [[noreturn]] void
+    failAt(std::size_t at, const std::string &what) const
+    {
+        std::size_t line = 1, col = 1;
+        for (std::size_t i = 0; i < at && i < s.size(); ++i) {
+            if (s[i] == '\n') {
+                ++line;
+                col = 1;
+            } else {
+                ++col;
+            }
+        }
+        throw JsonError(csprintf("%zu:%zu: %s", line, col, what.c_str()));
+    }
+
+    [[noreturn]] void fail(const std::string &what) const
+    {
+        failAt(p, what);
+    }
+
+    void
+    ws()
+    {
+        while (p < s.size() && (s[p] == ' ' || s[p] == '\t' ||
+                                s[p] == '\n' || s[p] == '\r')) {
+            ++p;
+        }
+    }
+
+    /** Fail at the cursor: it holds something other than @p want. */
+    [[noreturn]] void
+    unexpected(const char *want) const
+    {
+        if (p >= s.size())
+            fail(csprintf("unexpected end of input (expected %s)", want));
+        if (static_cast<unsigned char>(s[p]) < 0x20)
+            fail(csprintf("expected %s, got byte 0x%02x", want, s[p]));
+        fail(csprintf("expected %s, got '%c'", want, s[p]));
+    }
+
+    /** Consume @p c after optional whitespace, else fail naming @p want. */
+    void
+    expect(char c, const char *want)
+    {
+        ws();
+        if (p >= s.size() || s[p] != c)
+            unexpected(want);
         ++p;
     }
-    return p;
+
+    bool
+    literal(const char *word, std::size_t len)
+    {
+        if (s.compare(p, len, word) != 0)
+            return false;
+        p += len;
+        return true;
+    }
+
+    Value
+    value(unsigned depth)
+    {
+        ws();
+        if (p >= s.size())
+            unexpected("a value");
+        Value v;
+        v.begin = p;
+        const char c = s[p];
+        if (c == '{') {
+            object(v, depth);
+        } else if (c == '[') {
+            array(v, depth);
+        } else if (c == '"') {
+            v.type = Value::Type::String;
+            v.text = string();
+        } else if (c == '-' || isDigit(c)) {
+            v.type = Value::Type::Number;
+            v.text = number();
+        } else if (literal("true", 4) || literal("false", 5)) {
+            v.type = Value::Type::Bool;
+            v.text = s.substr(v.begin, p - v.begin);
+        } else if (literal("null", 4)) {
+            v.text = "null";
+        } else {
+            unexpected("a value");
+        }
+        v.end = p;
+        return v;
+    }
+
+    void
+    object(Value &v, unsigned depth)
+    {
+        if (depth >= maxDepth)
+            fail(csprintf("nesting deeper than %u levels", maxDepth));
+        v.type = Value::Type::Object;
+        ++p;   // '{'
+        ws();
+        if (p < s.size() && s[p] == '}') {
+            ++p;
+            return;
+        }
+        for (;;) {
+            ws();
+            if (p >= s.size() || s[p] != '"')
+                unexpected("a member name string");
+            const std::size_t keyAt = p;
+            std::string key = string();
+            for (const std::string &k : v.keys) {
+                if (k == key) {
+                    failAt(keyAt, csprintf("duplicate %skey '%s'",
+                                           depth == 0 ? "top-level " : "",
+                                           key.c_str()));
+                }
+            }
+            expect(':', "':'");
+            v.items.push_back(value(depth + 1));
+            v.keys.push_back(std::move(key));
+            ws();
+            if (p < s.size() && s[p] == ',') {
+                ++p;
+                continue;
+            }
+            expect('}', "',' or '}'");
+            return;
+        }
+    }
+
+    void
+    array(Value &v, unsigned depth)
+    {
+        if (depth >= maxDepth)
+            fail(csprintf("nesting deeper than %u levels", maxDepth));
+        v.type = Value::Type::Array;
+        ++p;   // '['
+        ws();
+        if (p < s.size() && s[p] == ']') {
+            ++p;
+            return;
+        }
+        for (;;) {
+            try {
+                v.items.push_back(value(depth + 1));
+            } catch (JsonError &e) {
+                if (e.element == std::string::npos)
+                    e.element = v.items.size();
+                throw;
+            }
+            ws();
+            if (p < s.size() && s[p] == ',') {
+                ++p;
+                continue;
+            }
+            expect(']', "',' or ']'");
+            return;
+        }
+    }
+
+    /** Four hex digits of a \u escape starting at @p at. */
+    unsigned
+    hex4(std::size_t at)
+    {
+        if (p + 4 > s.size())
+            failAt(at, "truncated \\u escape");
+        unsigned cp = 0;
+        for (int i = 0; i < 4; ++i) {
+            const int h = hexVal(s[p++]);
+            if (h < 0)
+                failAt(at, "bad \\u escape (want four hex digits)");
+            cp = (cp << 4) | static_cast<unsigned>(h);
+        }
+        return cp;
+    }
+
+    /** A quoted string at the cursor, decoded. */
+    std::string
+    string()
+    {
+        const std::size_t open = p++;
+        std::string out;
+        for (;;) {
+            if (p >= s.size())
+                failAt(open, "unterminated string");
+            const char c = s[p];
+            if (c == '"') {
+                ++p;
+                return out;
+            }
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("raw control character in a string (escape it)");
+            if (c != '\\') {
+                out += c;
+                ++p;
+                continue;
+            }
+            const std::size_t at = p++;
+            if (p >= s.size())
+                failAt(open, "unterminated string");
+            const char e = s[p++];
+            switch (e) {
+              case '"':  out += '"'; break;
+              case '\\': out += '\\'; break;
+              case '/':  out += '/'; break;
+              case 'b':  out += '\b'; break;
+              case 'f':  out += '\f'; break;
+              case 'n':  out += '\n'; break;
+              case 'r':  out += '\r'; break;
+              case 't':  out += '\t'; break;
+              case 'u': {
+                unsigned cp = hex4(at);
+                if (cp >= 0xd800 && cp < 0xdc00) {
+                    // A high surrogate must pair with a low one.
+                    if (s.compare(p, 2, "\\u") != 0)
+                        failAt(at, "unpaired surrogate in \\u escape");
+                    p += 2;
+                    const unsigned lo = hex4(at);
+                    if (lo < 0xdc00 || lo >= 0xe000)
+                        failAt(at, "unpaired surrogate in \\u escape");
+                    cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                } else if (cp >= 0xdc00 && cp < 0xe000) {
+                    failAt(at, "unpaired surrogate in \\u escape");
+                }
+                appendUtf8(out, cp);
+                break;
+              }
+              default:
+                failAt(at, csprintf("bad escape '\\%c'", e));
+            }
+        }
+    }
+
+    /** The RFC 8259 number token at the cursor, verbatim. */
+    std::string
+    number()
+    {
+        const std::size_t start = p;
+        if (s[p] == '-')
+            ++p;
+        if (p < s.size() && s[p] == '0') {
+            ++p;
+        } else if (p < s.size() && isDigit(s[p])) {
+            while (p < s.size() && isDigit(s[p]))
+                ++p;
+        } else {
+            fail("malformed number (expected a digit)");
+        }
+        if (p < s.size() && s[p] == '.') {
+            ++p;
+            if (p >= s.size() || !isDigit(s[p]))
+                fail("malformed number (expected a digit after '.')");
+            while (p < s.size() && isDigit(s[p]))
+                ++p;
+        }
+        if (p < s.size() && (s[p] == 'e' || s[p] == 'E')) {
+            ++p;
+            if (p < s.size() && (s[p] == '+' || s[p] == '-'))
+                ++p;
+            if (p >= s.size() || !isDigit(s[p]))
+                fail("malformed number (expected an exponent digit)");
+            while (p < s.size() && isDigit(s[p]))
+                ++p;
+        }
+        return s.substr(start, p - start);
+    }
+};
+
+const char *
+typeName(Value::Type t)
+{
+    switch (t) {
+      case Value::Type::Null:   return "null";
+      case Value::Type::Bool:   return "a boolean";
+      case Value::Type::Number: return "a number";
+      case Value::Type::String: return "a string";
+      case Value::Type::Array:  return "an array";
+      case Value::Type::Object: return "an object";
+    }
+    return "?";
 }
 
-namespace {
-
-/**
- * The raw token starting at @p p: everything up to the next value
- * delimiter (comma, closing bracket, whitespace, or end of document).
- */
-std::string
-numberToken(const std::string &obj, std::size_t p)
+[[noreturn]] void
+wrongType(const Value &v, const std::string &what, const char *want)
 {
-    std::size_t e = p;
-    while (e < obj.size()) {
-        const char c = obj[e];
-        if (c == ',' || c == '}' || c == ']' || c == ' ' || c == '\n' ||
-            c == '\t' || c == '\r') {
-            break;
-        }
-        ++e;
-    }
-    return obj.substr(p, e - p);
+    throw JsonError(csprintf("%s: expected %s, got %s", what.c_str(), want,
+                             typeName(v.type)));
+}
+
+std::string
+quoted(const std::string &key)
+{
+    return "\"" + key + "\"";
 }
 
 } // anonymous namespace
 
-double
-getNum(const std::string &obj, const std::string &key, double def)
+Value
+parse(const std::string &text)
 {
-    const std::size_t p = valuePos(obj, key);
-    if (p == std::string::npos)
-        return def;
-    const std::string tok = numberToken(obj, p);
-    // Validate the whole token: strtod with a null end pointer would
-    // decode "12garbage" as 12 and plain garbage as 0. Also keep
-    // strtod's extensions (hex floats, inf, nan) out of the accepted
-    // grammar — JSON has none of them.
-    bool shape = !tok.empty();
-    for (char c : tok) {
-        if (!((c >= '0' && c <= '9') || c == '-' || c == '+' ||
-              c == '.' || c == 'e' || c == 'E')) {
-            shape = false;
-        }
-    }
-    char *end = nullptr;
-    const double v = shape ? std::strtod(tok.c_str(), &end) : 0.0;
-    if (!shape || end != tok.c_str() + tok.size()) {
-        throw JsonError(csprintf("malformed number for key \"%s\": "
-                                 "'%s'", key.c_str(), tok.c_str()));
-    }
-    return v;
+    return Parser(text).document();
+}
+
+const Value *
+Value::find(const std::string &key) const
+{
+    if (type != Type::Object)
+        wrongType(*this, "lookup of " + quoted(key), "an object");
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        if (keys[i] == key)
+            return &items[i];
+    return nullptr;
+}
+
+double
+asNum(const Value &v, const std::string &what)
+{
+    if (v.type != Value::Type::Number)
+        wrongType(v, what, "a number");
+    // The parser admits only RFC 8259 number tokens, all of which
+    // strtod decodes whole (no hex floats, inf or nan can reach here).
+    return std::strtod(v.text.c_str(), nullptr);
 }
 
 std::uint64_t
-getU64(const std::string &obj, const std::string &key, std::uint64_t def)
+asU64(const Value &v, const std::string &what)
 {
-    const std::size_t p = valuePos(obj, key);
-    if (p == std::string::npos)
-        return def;
-    const std::string tok = numberToken(obj, p);
-    std::uint64_t v = 0;
-    const parse::Status st = parse::decimalU64(tok, v);
+    if (v.type != Value::Type::Number)
+        wrongType(v, what, "an unsigned integer");
+    std::uint64_t out = 0;
+    const parse::Status st = parse::decimalU64(v.text, out);
     if (st != parse::Status::Ok) {
-        throw JsonError(csprintf("malformed unsigned for key \"%s\": "
-                                 "'%s' (%s)", key.c_str(), tok.c_str(),
+        throw JsonError(csprintf("%s: malformed unsigned '%s' (%s)",
+                                 what.c_str(), v.text.c_str(),
                                  parse::statusReason(st)));
     }
-    return v;
+    return out;
+}
+
+const std::string &
+asStr(const Value &v, const std::string &what)
+{
+    if (v.type != Value::Type::String)
+        wrongType(v, what, "a string");
+    return v.text;
+}
+
+double
+getNum(const Value &obj, const std::string &key, double def)
+{
+    const Value *v = obj.find(key);
+    return v ? asNum(*v, quoted(key)) : def;
+}
+
+std::uint64_t
+getU64(const Value &obj, const std::string &key, std::uint64_t def)
+{
+    const Value *v = obj.find(key);
+    return v ? asU64(*v, quoted(key)) : def;
 }
 
 bool
-getBool(const std::string &obj, const std::string &key, bool def)
+getBool(const Value &obj, const std::string &key, bool def)
 {
-    const std::size_t p = valuePos(obj, key);
-    if (p == std::string::npos)
+    const Value *v = obj.find(key);
+    if (!v)
         return def;
-    if (obj.compare(p, 4, "true") == 0)
-        return true;
-    if (obj.compare(p, 5, "false") == 0)
-        return false;
-    return def;
+    if (v->type != Value::Type::Bool)
+        wrongType(*v, quoted(key), "a boolean");
+    return v->text == "true";
 }
 
 std::string
-getStr(const std::string &obj, const std::string &key,
-       const std::string &def)
+getStr(const Value &obj, const std::string &key, const std::string &def)
 {
-    std::size_t p = valuePos(obj, key);
-    if (p == std::string::npos || p >= obj.size() || obj[p] != '"')
-        return def;
-    std::string body;
-    for (++p; p < obj.size() && obj[p] != '"'; ++p) {
-        if (obj[p] == '\\' && p + 1 < obj.size()) {
-            body += obj[p];
-            ++p;
-        }
-        body += obj[p];
-    }
-    return unescape(body);
+    const Value *v = obj.find(key);
+    return v ? asStr(*v, quoted(key)) : def;
+}
+
+const Value *
+getArray(const Value &obj, const std::string &key)
+{
+    const Value *v = obj.find(key);
+    if (v && v->type != Value::Type::Array)
+        wrongType(*v, quoted(key), "an array");
+    return v;
+}
+
+const Value *
+getObject(const Value &obj, const std::string &key)
+{
+    const Value *v = obj.find(key);
+    if (v && v->type != Value::Type::Object)
+        wrongType(*v, quoted(key), "an object");
+    return v;
 }
 
 std::string
-balancedSlice(const std::string &s, std::size_t open)
+slice(const std::string &text, const Value &v)
 {
-    const char up = s[open];
-    const char down = up == '{' ? '}' : ']';
-    int depth = 0;
-    bool inStr = false;
-    for (std::size_t p = open; p < s.size(); ++p) {
-        const char c = s[p];
-        if (inStr) {
-            if (c == '\\')
-                ++p;
-            else if (c == '"')
-                inStr = false;
-        } else if (c == '"') {
-            inStr = true;
-        } else if (c == up) {
-            ++depth;
-        } else if (c == down && --depth == 0) {
-            return s.substr(open, p - open + 1);
-        }
-    }
-    return "";
-}
-
-namespace {
-
-/** Top-level entries of @p arr opening with @p bracket. */
-std::vector<std::string>
-innerSlices(const std::string &arr, char bracket)
-{
-    std::vector<std::string> out;
-    int depth = 1;
-    bool inStr = false;
-    for (std::size_t p = 1; p < arr.size(); ++p) {
-        const char c = arr[p];
-        if (inStr) {
-            if (c == '\\')
-                ++p;
-            else if (c == '"')
-                inStr = false;
-        } else if (c == '"') {
-            inStr = true;
-        } else if (c == bracket && depth == 1) {
-            const std::string entry = balancedSlice(arr, p);
-            if (entry.empty())
-                return out;   // truncated entry: drop it
-            out.push_back(entry);
-            p += entry.size() - 1;
-        } else if (c == '[' || c == '{') {
-            ++depth;
-        } else if (c == ']' || c == '}') {
-            --depth;
-        }
-    }
-    return out;
-}
-
-} // anonymous namespace
-
-std::vector<std::string>
-innerArrays(const std::string &arr)
-{
-    return innerSlices(arr, '[');
-}
-
-std::vector<std::string>
-innerObjects(const std::string &arr)
-{
-    return innerSlices(arr, '{');
-}
-
-std::vector<std::string>
-innerStrings(const std::string &arr)
-{
-    std::vector<std::string> out;
-    for (std::size_t p = 1; p < arr.size(); ++p) {
-        if (arr[p] != '"')
-            continue;
-        std::string body;
-        for (++p; p < arr.size() && arr[p] != '"'; ++p) {
-            if (arr[p] == '\\' && p + 1 < arr.size()) {
-                body += arr[p];
-                ++p;
-            }
-            body += arr[p];
-        }
-        out.push_back(unescape(body));
-    }
-    return out;
+    return text.substr(v.begin, v.end - v.begin);
 }
 
 } // namespace json

@@ -1,17 +1,22 @@
 /**
  * @file
- * Minimal shared JSON primitives: one escape/unescape pair plus the
- * slice-and-extract helpers every hand-rolled reader in the tree uses.
+ * The tree's one JSON reader, plus the escape() every writer uses.
  *
- * The repo's reports, machine specs, checkpoints and repro documents
- * are all emitted by hand (stable field order, no external JSON
- * dependency); historically each consumer grew its own escaping and
- * extraction code, and the copies drifted — the verify-report reader
- * decoded "\n" to a literal 'n', so any label that actually needed
- * escaping failed to round-trip. This header is the single home for
- * those primitives: writers escape with escape(), readers decode with
- * unescape()/getStr(), and both sides agree on the full JSON control
- * set (\" \\ \/ \b \f \n \r \t \uXXXX).
+ * The repo's reports, machine specs, grid documents, checkpoints,
+ * corpora, repro documents and traces are all emitted by hand (stable
+ * field order, no external JSON dependency) and all read back through
+ * parse(): a strict RFC 8259 parser producing a Value tree. Readers
+ * look keys up among an object's own members only, so a document may
+ * be re-indented or have its keys reordered without changing what it
+ * means, and a key nested in a sub-object can never be mistaken for a
+ * top-level one.
+ *
+ * Three properties serve the readers that predate the parser:
+ *  - objects keep member order (grid "keys" use it as expansion order);
+ *  - every value keeps its source byte span, so report merging and
+ *    checkpoint resume copy rows and payloads verbatim;
+ *  - numbers, booleans and null keep their raw token, so each reader
+ *    applies its own number grammar to exactly what the file says.
  */
 
 #ifndef MSPLIB_COMMON_JSON_HH
@@ -26,81 +31,106 @@ namespace msp {
 namespace json {
 
 /**
- * A present-but-malformed value. Absent keys still yield the caller's
- * default (documents legitimately omit optional fields), but a key
- * that exists with a garbled number must fail loudly: the old
- * strtoull(..., nullptr) readers silently decoded garbage as 0, so a
- * corrupt checkpoint row or repro would "replay clean".
+ * A malformed document. parse() reports syntax errors with a
+ * "line:column:" prefix; the accessors below report a present key
+ * whose value has the wrong type or a malformed number. (Absent keys
+ * yield the caller's default: documents legitimately omit optional
+ * fields. A garbled value must fail loudly instead, or a corrupt
+ * checkpoint row or repro would "replay clean".)
  */
 struct JsonError : std::runtime_error
 {
-    explicit JsonError(const std::string &what)
-        : std::runtime_error(what) {}
+    explicit JsonError(const std::string &what,
+                       std::size_t element = std::string::npos)
+        : std::runtime_error(what), element(element) {}
+
+    /**
+     * For a syntax error inside an array element: that element's index
+     * in the innermost enclosing array. npos otherwise. Lets a reader
+     * of a fixed-shape tuple name the field that failed.
+     */
+    std::size_t element;
 };
+
+/** One parsed JSON value. */
+struct Value
+{
+    enum class Type { Null, Bool, Number, String, Array, Object };
+
+    Type type = Type::Null;
+    /** String: the decoded bytes. Number, Bool, Null: the raw token. */
+    std::string text;
+    /** Array elements, or object member values parallel to keys. */
+    std::vector<Value> items;
+    /** Object member names, in source order (unique). */
+    std::vector<std::string> keys;
+    /** Source byte span [begin, end) in the parsed text. */
+    std::size_t begin = 0;
+    std::size_t end = 0;
+
+    bool isObject() const { return type == Type::Object; }
+    bool isArray() const { return type == Type::Array; }
+
+    /**
+     * This object's own member @p key, or nullptr when absent.
+     * @throws JsonError when this value is not an object.
+     */
+    const Value *find(const std::string &key) const;
+};
+
+/**
+ * Parse @p text as exactly one JSON value, surrounded by optional
+ * whitespace. Rejects everything RFC 8259 does (bad escapes, raw
+ * control bytes in strings, leading zeros, trailing commas, ...) plus
+ * duplicate keys within one object and any trailing content.
+ * @throws JsonError "line:column: what" on the first defect.
+ */
+Value parse(const std::string &text);
+
+/**
+ * @p v as a double. @p what names the value in errors. Throws
+ * JsonError unless @p v is a number.
+ */
+double asNum(const Value &v, const std::string &what);
+
+/**
+ * @p v as a plain non-negative decimal integer that fits in 64 bits
+ * (parse::decimalU64 over the raw token); throws JsonError otherwise.
+ */
+std::uint64_t asU64(const Value &v, const std::string &what);
+
+/** @p v's decoded string; throws JsonError unless it is a string. */
+const std::string &asStr(const Value &v, const std::string &what);
+
+/**
+ * Member accessors: @p def when @p obj has no member @p key, the
+ * member's value when it has the right type, JsonError otherwise.
+ */
+double getNum(const Value &obj, const std::string &key, double def);
+std::uint64_t getU64(const Value &obj, const std::string &key,
+                     std::uint64_t def);
+bool getBool(const Value &obj, const std::string &key, bool def);
+std::string getStr(const Value &obj, const std::string &key,
+                   const std::string &def = "");
+
+/**
+ * Member @p key of @p obj when it is an array (getArray) or an object
+ * (getObject); nullptr when absent; JsonError for any other type.
+ */
+const Value *getArray(const Value &obj, const std::string &key);
+const Value *getObject(const Value &obj, const std::string &key);
+
+/** The source bytes of @p v, which was parsed from @p text. */
+std::string slice(const std::string &text, const Value &v);
 
 /**
  * Escape @p s for embedding in a JSON string literal. Covers the full
  * control set: quote, backslash, \b \f \n \r \t as their two-char
  * shorthands and every other byte < 0x20 as \u00XX. Bytes >= 0x80 pass
- * through untouched (UTF-8 payloads stay UTF-8).
+ * through untouched (UTF-8 payloads stay UTF-8), so parse() decodes
+ * the literal back to exactly @p s.
  */
 std::string escape(const std::string &s);
-
-/**
- * Decode a JSON string body (the text between the quotes, escapes
- * intact) back to raw bytes: the exact inverse of escape(), and
- * tolerant of the rest of the spec (\/ and BMP \uXXXX decode to UTF-8;
- * a malformed trailing escape is kept verbatim rather than dropped).
- * unescape(escape(s)) == s for every byte string s.
- */
-std::string unescape(const std::string &s);
-
-/**
- * Position of the value after "key": inside @p obj, skipping
- * whitespace; npos if the key is absent.
- */
-std::size_t valuePos(const std::string &obj, const std::string &key);
-
-/**
- * Numeric value of "key" in @p obj; @p def when absent. Throws
- * JsonError when the key is present but its token is not a finite
- * JSON number.
- */
-double getNum(const std::string &obj, const std::string &key, double def);
-
-/**
- * Unsigned value of "key" in @p obj; @p def when absent. Throws
- * JsonError when the key is present but its token is not a plain
- * non-negative decimal integer that fits in 64 bits.
- */
-std::uint64_t getU64(const std::string &obj, const std::string &key,
-                     std::uint64_t def);
-
-/** True/false value of "key" in @p obj; @p def when absent. */
-bool getBool(const std::string &obj, const std::string &key, bool def);
-
-/**
- * String value of "key" in @p obj, fully unescaped; @p def when the
- * key is absent or its value is not a string.
- */
-std::string getStr(const std::string &obj, const std::string &key,
-                   const std::string &def = "");
-
-/**
- * The balanced {...} or [...] starting at @p open (which must index
- * the opening bracket). Quote-aware, so brackets inside strings don't
- * count. Empty when the document ends before the bracket closes.
- */
-std::string balancedSlice(const std::string &s, std::size_t open);
-
-/** Top-level [...] entries of @p arr (which includes its brackets). */
-std::vector<std::string> innerArrays(const std::string &arr);
-
-/** Top-level {...} entries of @p arr (which includes its brackets). */
-std::vector<std::string> innerObjects(const std::string &arr);
-
-/** The quoted strings of a ["...", "..."] array, fully unescaped. */
-std::vector<std::string> innerStrings(const std::string &arr);
 
 } // namespace json
 } // namespace msp

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #ifdef __linux__
@@ -71,45 +70,6 @@ cpuinfoField(const char *key)
     }
     std::fclose(f);
     return found;
-}
-
-/** Doubles of a [1.0, 2.5, ...] array. @throws JsonError on garbage. */
-std::vector<double>
-numberArray(const std::string &obj, const std::string &key)
-{
-    std::vector<double> out;
-    const std::size_t pos = json::valuePos(obj, key);
-    if (pos == std::string::npos || obj[pos] != '[')
-        return out;
-    const std::string arr = json::balancedSlice(obj, pos);
-    std::size_t start = 1;  // past '['
-    while (start < arr.size()) {
-        std::size_t end = start;
-        while (end < arr.size() && arr[end] != ',' && arr[end] != ']')
-            ++end;
-        std::string tok = arr.substr(start, end - start);
-        // Trim whitespace.
-        std::size_t b = 0, e = tok.size();
-        while (b < e && std::isspace(static_cast<unsigned char>(tok[b])))
-            ++b;
-        while (e > b && std::isspace(static_cast<unsigned char>(tok[e - 1])))
-            --e;
-        tok = tok.substr(b, e - b);
-        if (!tok.empty()) {
-            char *stop = nullptr;
-            const double v = std::strtod(tok.c_str(), &stop);
-            if (stop != tok.c_str() + tok.size()) {
-                throw json::JsonError(csprintf(
-                    "malformed number '%s' in \"%s\" array", tok.c_str(),
-                    key.c_str()));
-            }
-            out.push_back(v);
-        }
-        if (end >= arr.size() || arr[end] == ']')
-            break;
-        start = end + 1;
-    }
-    return out;
 }
 
 std::string
@@ -305,8 +265,9 @@ benchReportToJson(const BenchReport &r)
 }
 
 BenchReport
-benchReportFromJson(const std::string &doc)
+benchReportFromJson(const std::string &text)
 {
+    const json::Value doc = json::parse(text);
     const std::string schema = json::getStr(doc, "schema");
     if (schema != benchSchemaId) {
         throw json::JsonError(csprintf(
@@ -321,22 +282,23 @@ benchReportFromJson(const std::string &doc)
     r.reps = static_cast<unsigned>(json::getU64(doc, "reps", 0));
     r.seed = json::getU64(doc, "seed", 1);
 
-    const std::size_t wpos = json::valuePos(doc, "workloads");
-    if (wpos != std::string::npos && doc[wpos] == '[')
-        r.workloads = json::innerStrings(json::balancedSlice(doc, wpos));
+    if (const json::Value *w = json::getArray(doc, "workloads"))
+        for (const json::Value &name : w->items)
+            r.workloads.push_back(json::asStr(name, "workload name"));
 
-    const std::size_t cpos = json::valuePos(doc, "configs");
-    if (cpos == std::string::npos || doc[cpos] != '[')
+    const json::Value *configs = json::getArray(doc, "configs");
+    if (!configs)
         throw json::JsonError("bench report has no \"configs\" array");
-    for (const std::string &obj :
-         json::innerObjects(json::balancedSlice(doc, cpos))) {
+    for (const json::Value &obj : configs->items) {
         BenchConfigResult c;
         c.config = json::getStr(obj, "config");
         if (c.config.empty())
             throw json::JsonError("bench config entry without a name");
         c.committed = json::getU64(obj, "committed", 0);
         c.cycles = json::getU64(obj, "cycles", 0);
-        c.wallSec = numberArray(obj, "wall_sec");
+        if (const json::Value *walls = json::getArray(obj, "wall_sec"))
+            for (const json::Value &w : walls->items)
+                c.wallSec.push_back(json::asNum(w, "wall_sec entry"));
         r.configs.push_back(std::move(c));
     }
     if (r.configs.empty())

@@ -240,42 +240,37 @@ simResultToJson(const RunResult &r)
 }
 
 RunResult
-simResultFromJson(const std::string &doc)
+simResultFromJson(const std::string &text)
 {
+    using json::getU64;
+    const json::Value doc = json::parse(text);
     RunResult r;
     r.workload = json::getStr(doc, "workload");
     r.config = json::getStr(doc, "config");
-    r.cycles = json::getU64(doc, "cycles", 0);
-    r.committed = json::getU64(doc, "committed", 0);
-    r.wrongPathExec = json::getU64(doc, "wrong_path_exec", 0);
-    r.reExecuted = json::getU64(doc, "re_executed", 0);
-    r.totalExecuted = json::getU64(doc, "total_executed", 0);
-    r.branches = json::getU64(doc, "branches", 0);
-    r.mispredicts = json::getU64(doc, "mispredicts", 0);
-    r.recoveries = json::getU64(doc, "recoveries", 0);
-    r.exceptions = json::getU64(doc, "exceptions", 0);
-    r.renameStallCycles = json::getU64(doc, "rename_stall_cycles", 0);
-    r.regStallCycles = json::getU64(doc, "reg_stall_cycles", 0);
-    r.sqStallCycles = json::getU64(doc, "sq_stall_cycles", 0);
-    r.iqStallCycles = json::getU64(doc, "iq_stall_cycles", 0);
-    r.checkpointsTaken = json::getU64(doc, "checkpoints_taken", 0);
-    r.l2Misses = json::getU64(doc, "l2_misses", 0);
-    const std::size_t at = json::valuePos(doc, "bank_stall_cycles");
-    if (at != std::string::npos && at < doc.size() && doc[at] == '[') {
-        const std::string arr = json::balancedSlice(doc, at);
-        std::size_t slot = 0, p = 1;
-        while (p < arr.size() && slot < r.bankStallCycles.size()) {
-            while (p < arr.size() &&
-                   (arr[p] < '0' || arr[p] > '9')) {
-                ++p;
-            }
-            if (p >= arr.size())
-                break;
-            char *end = nullptr;
-            r.bankStallCycles[slot++] =
-                std::strtoull(arr.c_str() + p, &end, 10);
-            p = static_cast<std::size_t>(end - arr.c_str());
+    r.cycles = getU64(doc, "cycles", 0);
+    r.committed = getU64(doc, "committed", 0);
+    r.wrongPathExec = getU64(doc, "wrong_path_exec", 0);
+    r.reExecuted = getU64(doc, "re_executed", 0);
+    r.totalExecuted = getU64(doc, "total_executed", 0);
+    r.branches = getU64(doc, "branches", 0);
+    r.mispredicts = getU64(doc, "mispredicts", 0);
+    r.recoveries = getU64(doc, "recoveries", 0);
+    r.exceptions = getU64(doc, "exceptions", 0);
+    r.renameStallCycles = getU64(doc, "rename_stall_cycles", 0);
+    r.regStallCycles = getU64(doc, "reg_stall_cycles", 0);
+    r.sqStallCycles = getU64(doc, "sq_stall_cycles", 0);
+    r.iqStallCycles = getU64(doc, "iq_stall_cycles", 0);
+    r.checkpointsTaken = getU64(doc, "checkpoints_taken", 0);
+    r.l2Misses = getU64(doc, "l2_misses", 0);
+    if (const json::Value *banks = json::getArray(doc, "bank_stall_cycles")) {
+        if (banks->items.size() > r.bankStallCycles.size()) {
+            throw json::JsonError(csprintf(
+                "bank_stall_cycles has %zu entries, want at most %zu",
+                banks->items.size(), r.bankStallCycles.size()));
         }
+        for (std::size_t i = 0; i < banks->items.size(); ++i)
+            r.bankStallCycles[i] =
+                json::asU64(banks->items[i], "bank_stall_cycles entry");
     }
     return r;
 }

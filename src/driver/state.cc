@@ -128,30 +128,34 @@ CampaignState::begin(const std::string &campaignMode,
                                   " is empty");
 
         // Header: must identify this exact campaign. A garbled
-        // version token (JsonError) is just as much "not a
-        // checkpoint" as a missing one.
-        const std::string &head = lines.front();
+        // header (JsonError) is just as much "not a checkpoint" as a
+        // missing version.
         std::uint64_t version = 0;
+        std::string headMode, headFingerprint;
         try {
+            const json::Value head = json::parse(lines.front());
             version = json::getU64(head, "msp_checkpoint", 0);
-        } catch (const json::JsonError &) {}
+            headMode = json::getStr(head, "mode");
+            headFingerprint = json::getStr(head, "fingerprint");
+        } catch (const json::JsonError &) {
+            version = 0;
+        }
         if (version != 1) {
             throw CheckpointError(resumePath +
                                   " is not a checkpoint file");
         }
-        if (json::getStr(head, "mode") != mode) {
+        if (headMode != mode) {
             throw CheckpointError(csprintf(
                 "checkpoint %s was written by a '%s' campaign, not "
-                "'%s'", resumePath.c_str(),
-                json::getStr(head, "mode").c_str(), mode.c_str()));
+                "'%s'", resumePath.c_str(), headMode.c_str(),
+                mode.c_str()));
         }
-        if (json::getStr(head, "fingerprint") != fingerprint) {
+        if (headFingerprint != fingerprint) {
             throw CheckpointError(csprintf(
                 "checkpoint %s belongs to a different campaign "
                 "(fingerprint %s, this run is %s) — same command line, "
                 "machines, seeds and shard required to resume",
-                resumePath.c_str(),
-                json::getStr(head, "fingerprint").c_str(),
+                resumePath.c_str(), headFingerprint.c_str(),
                 fingerprint.c_str()));
         }
 
@@ -159,21 +163,21 @@ CampaignState::begin(const std::string &campaignMode,
         for (std::size_t li = 1; li < lines.size(); ++li) {
             const std::string &line = lines[li];
             const bool isLast = li + 1 == lines.size();
-            const std::size_t payloadAt = json::valuePos(line, "payload");
-            const std::string payload =
-                payloadAt != std::string::npos &&
-                        payloadAt < line.size() && line[payloadAt] == '{'
-                    ? json::balancedSlice(line, payloadAt)
-                    : "";
             std::uint64_t index = ~std::uint64_t{0};
+            std::string key, payload;
             try {
-                index = json::getU64(line, "index", ~std::uint64_t{0});
+                const json::Value rec = json::parse(line);
+                index = json::getU64(rec, "index", ~std::uint64_t{0});
+                key = json::getStr(rec, "key");
+                // The payload is kept verbatim: its codec
+                // (simResultFromJson / outcomeFromJson) reads it later.
+                if (const json::Value *p = json::getObject(rec, "payload"))
+                    payload = json::slice(line, *p);
             } catch (const json::JsonError &) {
-                // A record torn mid-number is "not parsed", same as a
-                // record torn mid-key; the trailing-record test below
-                // decides whether that is recoverable.
+                // A record torn mid-value is "not parsed", same as a
+                // record missing a field; the trailing-record test
+                // below decides whether that is recoverable.
             }
-            const std::string key = json::getStr(line, "key");
 
             const bool parsed = !payload.empty() && !key.empty() &&
                                 index != ~std::uint64_t{0};
@@ -272,24 +276,27 @@ CampaignState::finalFlush()
 
 namespace {
 
-/** Rows of the array at @p key in @p doc, mapped by their "index". */
+/**
+ * Rows of the array member @p key of @p obj (parsed from @p text),
+ * mapped by their "index" and kept verbatim.
+ */
 void
-collectRows(const std::string &doc, const std::string &key,
+collectRows(const std::string &text, const json::Value &obj,
+            const std::string &key,
             std::map<std::uint64_t, std::string> &rows,
             const std::string &what)
 {
-    const std::size_t at = json::valuePos(doc, key);
-    if (at == std::string::npos || at >= doc.size() || doc[at] != '[')
+    const json::Value *arr = json::getArray(obj, key);
+    if (!arr)
         throw CheckpointError("report carries no \"" + key + "\" array");
-    for (const std::string &row :
-         json::innerObjects(json::balancedSlice(doc, at))) {
+    for (const json::Value &row : arr->items) {
         const std::uint64_t index =
             json::getU64(row, "index", ~std::uint64_t{0});
         if (index == ~std::uint64_t{0}) {
             throw CheckpointError(what + " row without an \"index\" "
                                   "field (pre-shard report?)");
         }
-        if (!rows.emplace(index, row).second) {
+        if (!rows.emplace(index, json::slice(text, row)).second) {
             throw CheckpointError(csprintf(
                 "two %s rows claim index %llu — overlapping shards?",
                 what.c_str(),
@@ -299,11 +306,12 @@ collectRows(const std::string &doc, const std::string &key,
 }
 
 std::string
-mergeDriverReports(const std::vector<std::string> &docs)
+mergeDriverReports(const std::vector<std::string> &texts,
+                   const std::vector<json::Value> &docs)
 {
     std::map<std::uint64_t, std::string> rows;
-    for (const std::string &doc : docs)
-        collectRows(doc, "jobs", rows, "job");
+    for (std::size_t i = 0; i < docs.size(); ++i)
+        collectRows(texts[i], docs[i], "jobs", rows, "job");
 
     std::string out = "{\n  \"jobs\": [";
     std::size_t emitted = 0;
@@ -316,17 +324,19 @@ mergeDriverReports(const std::vector<std::string> &docs)
 }
 
 std::string
-mergeVerifyReports(const std::vector<std::string> &docs)
+mergeVerifyReports(const std::vector<std::string> &texts,
+                   const std::vector<json::Value> &docs)
 {
     std::map<std::uint64_t, std::string> rows;
     std::map<std::uint64_t, std::string> repros;
     std::size_t divergent = 0, skipped = 0, shrinkTimedOut = 0;
-    for (const std::string &doc : docs) {
-        collectRows(doc, "results", rows, "result");
-        collectRows(doc, "repros", repros, "repro");
-        divergent += json::getU64(doc, "divergent", 0);
-        skipped += json::getU64(doc, "skipped", 0);
-        shrinkTimedOut += json::getU64(doc, "shrink_timed_out", 0);
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+        const json::Value &v = *json::getObject(docs[i], "verify");
+        collectRows(texts[i], v, "results", rows, "result");
+        collectRows(texts[i], v, "repros", repros, "repro");
+        divergent += json::getU64(v, "divergent", 0);
+        skipped += json::getU64(v, "skipped", 0);
+        shrinkTimedOut += json::getU64(v, "shrink_timed_out", 0);
     }
 
     // Exactly verify::toJson's skeleton, so a merged document is
@@ -358,24 +368,27 @@ mergeVerifyReports(const std::vector<std::string> &docs)
 } // anonymous namespace
 
 std::string
-mergeReports(const std::vector<std::string> &docs)
+mergeReports(const std::vector<std::string> &texts)
 {
-    if (docs.empty())
+    if (texts.empty())
         throw CheckpointError("nothing to merge");
 
-    const auto isVerify = [](const std::string &doc) {
-        const std::size_t at = json::valuePos(doc, "verify");
-        return at != std::string::npos && at < doc.size() &&
-               doc[at] == '{';
+    std::vector<json::Value> docs;
+    docs.reserve(texts.size());
+    for (const std::string &text : texts)
+        docs.push_back(json::parse(text));
+    const auto isVerify = [](const json::Value &doc) {
+        return json::getObject(doc, "verify") != nullptr;
     };
     const bool verify = isVerify(docs.front());
-    for (const std::string &doc : docs) {
+    for (const json::Value &doc : docs) {
         if (isVerify(doc) != verify) {
             throw CheckpointError("cannot merge a verify report with a "
                                   "campaign report");
         }
     }
-    return verify ? mergeVerifyReports(docs) : mergeDriverReports(docs);
+    return verify ? mergeVerifyReports(texts, docs)
+                  : mergeDriverReports(texts, docs);
 }
 
 // ---- cooperative interruption ---------------------------------------------

@@ -161,7 +161,8 @@ class CampaignState
  * skipped, shrink_timed_out) are recomputed from the merged rows.
  *
  * @throws CheckpointError on an unrecognised document, mixed report
- * kinds, or two rows claiming the same index (overlapping shards).
+ * kinds, or two rows claiming the same index (overlapping shards);
+ * json::JsonError on a document that is not well-formed JSON.
  */
 std::string mergeReports(const std::vector<std::string> &docs);
 

@@ -12,129 +12,6 @@ namespace grid {
 
 namespace {
 
-/**
- * The machine-spec reader's strict scanner, extended with the slice
- * capture the grid grammar needs for its nested "base" object. (The
- * spec.cc scanner is file-local by design; the two grammars stay
- * independently strict.)
- */
-struct Scanner
-{
-    const std::string &s;
-    std::size_t p = 0;
-
-    explicit Scanner(const std::string &text) : s(text) {}
-
-    void
-    ws()
-    {
-        while (p < s.size() && (s[p] == ' ' || s[p] == '\t' ||
-                                s[p] == '\n' || s[p] == '\r')) {
-            ++p;
-        }
-    }
-
-    bool eof() { ws(); return p >= s.size(); }
-
-    char
-    peek()
-    {
-        ws();
-        if (p >= s.size())
-            throw SpecError("grid spec: unexpected end of input");
-        return s[p];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            throw SpecError(csprintf("grid spec: expected '%c' at "
-                                     "offset %zu", c, p));
-        ++p;
-    }
-
-    /** Parse a quoted string, decoding standard JSON escapes. */
-    std::string
-    str()
-    {
-        expect('"');
-        std::string out;
-        while (p < s.size() && s[p] != '"') {
-            char c = s[p++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p >= s.size())
-                break;   // reported as unterminated below
-            const char esc = s[p++];
-            switch (esc) {
-              case '"': case '\\': case '/': out += esc; break;
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              default:
-                throw SpecError(csprintf("grid spec: unknown escape "
-                                         "\\%c", esc));
-            }
-        }
-        if (p >= s.size())
-            throw SpecError("grid spec: unterminated string");
-        ++p;   // closing quote
-        return out;
-    }
-
-    /** An unquoted token: number / true / false. */
-    std::string
-    rawToken()
-    {
-        ws();
-        const std::size_t start = p;
-        while (p < s.size() && s[p] != ',' && s[p] != '}' &&
-               s[p] != ']' && s[p] != ' ' && s[p] != '\t' &&
-               s[p] != '\n' && s[p] != '\r') {
-            ++p;
-        }
-        if (p == start)
-            throw SpecError(csprintf("grid spec: expected a value at "
-                                     "offset %zu", start));
-        return s.substr(start, p - start);
-    }
-
-    /** The balanced {...} starting here, cursor advanced past it. */
-    std::string
-    objectSlice()
-    {
-        ws();
-        const std::size_t start = p;
-        int depth = 0;
-        bool inStr = false;
-        while (p < s.size()) {
-            const char c = s[p];
-            if (inStr) {
-                if (c == '\\' && p + 1 < s.size())
-                    ++p;
-                else if (c == '"')
-                    inStr = false;
-            } else if (c == '"') {
-                inStr = true;
-            } else if (c == '{' || c == '[') {
-                ++depth;
-            } else if (c == '}' || c == ']') {
-                if (--depth == 0) {
-                    ++p;
-                    return s.substr(start, p - start);
-                }
-            }
-            ++p;
-        }
-        throw SpecError("grid spec: unterminated base object");
-    }
-};
-
 /** One axis element, quoted values kept distinct from raw tokens. */
 struct RawValue
 {
@@ -161,7 +38,7 @@ struct Doc
     bool haveLabelFormat = false;
     std::string basePreset;
     bool haveBasePreset = false;
-    std::string baseObject;   ///< verbatim slice, fed to specFromJson
+    json::Value baseObject;   ///< flat spec object (Null when absent)
     PredictorKind predictor = PredictorKind::Gshare;
     bool havePredictor = false;
     std::vector<Axis> axes;
@@ -190,13 +67,6 @@ failElem(std::size_t axis, const std::string &key, std::size_t elem,
                              what.c_str()));
 }
 
-bool
-reservedWorkloadKey(const std::string &key)
-{
-    return key == "workload.name" || key == "workload.trace" ||
-           key == "workload.seed";
-}
-
 std::uint64_t
 parseSeed(const std::string &text, std::size_t axis, std::size_t elem)
 {
@@ -211,156 +81,106 @@ parseSeed(const std::string &text, std::size_t axis, std::size_t elem)
     return v;
 }
 
-Axis
-parseAxis(Scanner &sc, std::size_t axisIdx)
+/** @p v as a string, or a grid-spec error naming @p what. */
+const std::string &
+docStr(const json::Value &v, const std::string &what)
 {
+    if (v.type != json::Value::Type::String)
+        throw SpecError("grid spec: " + what + " must be a string");
+    return v.text;
+}
+
+Axis
+parseAxis(const json::Value &obj, std::size_t axisIdx)
+{
+    if (!obj.isObject())
+        failAxis(axisIdx, "expected an object");
     Axis axis;
-    bool haveKeys = false;
-    sc.expect('{');
-    if (sc.peek() == '}') {
-        ++sc.p;
-        failAxis(axisIdx, "empty axis (no keys)");
-    }
-    for (;;) {
-        const std::string key = sc.str();
-        sc.expect(':');
+    for (std::size_t i = 0; i < obj.keys.size(); ++i) {
+        const std::string &key = obj.keys[i];
+        const json::Value &val = obj.items[i];
         if (key == "mode") {
-            const std::string mode = sc.str();
+            const std::string &mode = docStr(val, "axis mode");
             if (mode == "zip")
                 axis.zip = true;
             else if (mode != "product")
                 failAxis(axisIdx, "unknown mode '" + mode +
                                   "' (want \"product\" or \"zip\")");
         } else if (key == "keys") {
-            haveKeys = true;
-            sc.expect('{');
-            if (sc.peek() == '}') {
-                ++sc.p;
-            } else {
-                for (;;) {
-                    AxisKey ak;
-                    ak.key = sc.str();
-                    sc.expect(':');
-                    sc.expect('[');
-                    if (sc.peek() == ']') {
-                        ++sc.p;
-                    } else {
-                        for (;;) {
-                            RawValue v;
-                            const char c = sc.peek();
-                            if (c == '"') {
-                                v.text = sc.str();
-                                v.quoted = true;
-                            } else if (c == '{' || c == '[') {
-                                failKey(axisIdx, ak.key,
-                                        "elements must be scalars");
-                            } else {
-                                v.text = sc.rawToken();
-                            }
-                            ak.values.push_back(std::move(v));
-                            if (sc.peek() == ',') {
-                                ++sc.p;
-                                continue;
-                            }
-                            sc.expect(']');
-                            break;
-                        }
-                    }
-                    axis.keys.push_back(std::move(ak));
-                    if (sc.peek() == ',') {
-                        ++sc.p;
-                        continue;
-                    }
-                    sc.expect('}');
-                    break;
+            if (!val.isObject())
+                failAxis(axisIdx, "\"keys\" must be an object");
+            for (std::size_t k = 0; k < val.keys.size(); ++k) {
+                AxisKey ak;
+                ak.key = val.keys[k];
+                const json::Value &list = val.items[k];
+                if (!list.isArray())
+                    failKey(axisIdx, ak.key, "expected a list of values");
+                for (const json::Value &e : list.items) {
+                    if (e.isObject() || e.isArray())
+                        failKey(axisIdx, ak.key,
+                                "elements must be scalars");
+                    ak.values.push_back(
+                        {e.text, e.type == json::Value::Type::String});
                 }
+                axis.keys.push_back(std::move(ak));
             }
         } else {
             failAxis(axisIdx, "unknown axis key '" + key +
                               "' (want \"mode\" or \"keys\")");
         }
-        if (sc.peek() == ',') {
-            ++sc.p;
-            continue;
-        }
-        sc.expect('}');
-        break;
     }
-    if (!haveKeys || axis.keys.empty())
+    if (axis.keys.empty())
         failAxis(axisIdx, "empty axis (no keys)");
     return axis;
 }
 
 Doc
-parseDoc(const std::string &json)
+parseDoc(const std::string &text)
 {
+    json::Value root;
+    try {
+        root = json::parse(text);
+    } catch (const json::JsonError &e) {
+        throw SpecError(std::string("grid spec: ") + e.what());
+    }
+    if (!root.isObject())
+        throw SpecError("grid spec: expected a JSON object");
     Doc doc;
-    Scanner sc(json);
-    std::set<std::string> seenTop;
-    sc.expect('{');
-    if (sc.peek() == '}') {
-        ++sc.p;
-    } else {
-        for (;;) {
-            const std::string key = sc.str();
-            sc.expect(':');
-            if (!seenTop.insert(key).second)
-                throw SpecError("grid spec: duplicate top-level key '" +
-                                key + "'");
-            if (key == "name") {
-                doc.name = sc.str();
-            } else if (key == "predictor") {
-                const std::string p = sc.str();
-                if (p == "gshare")
-                    doc.predictor = PredictorKind::Gshare;
-                else if (p == "tage")
-                    doc.predictor = PredictorKind::Tage;
-                else
-                    throw SpecError("grid spec: unknown predictor '" +
-                                    p + "' (want gshare or tage)");
-                doc.havePredictor = true;
-            } else if (key == "base") {
-                if (sc.peek() == '{') {
-                    doc.baseObject = sc.objectSlice();
-                } else {
-                    doc.basePreset = sc.str();
-                    doc.haveBasePreset = true;
-                }
-            } else if (key == "label_format") {
-                doc.labelFormat = sc.str();
-                doc.haveLabelFormat = true;
-            } else if (key == "axes") {
-                sc.expect('[');
-                if (sc.peek() == ']') {
-                    ++sc.p;
-                } else {
-                    for (;;) {
-                        doc.axes.push_back(
-                            parseAxis(sc, doc.axes.size()));
-                        if (sc.peek() == ',') {
-                            ++sc.p;
-                            continue;
-                        }
-                        sc.expect(']');
-                        break;
-                    }
-                }
+    for (std::size_t i = 0; i < root.keys.size(); ++i) {
+        const std::string &key = root.keys[i];
+        json::Value &val = root.items[i];
+        if (key == "name") {
+            doc.name = docStr(val, "\"name\"");
+        } else if (key == "predictor") {
+            const std::string &p = docStr(val, "\"predictor\"");
+            if (p == "gshare")
+                doc.predictor = PredictorKind::Gshare;
+            else if (p == "tage")
+                doc.predictor = PredictorKind::Tage;
+            else
+                throw SpecError("grid spec: unknown predictor '" + p +
+                                "' (want gshare or tage)");
+            doc.havePredictor = true;
+        } else if (key == "base") {
+            if (val.isObject()) {
+                doc.baseObject = std::move(val);
             } else {
-                throw SpecError("grid spec: unknown top-level key '" +
-                                key + "'");
+                doc.basePreset = docStr(val, "\"base\"");
+                doc.haveBasePreset = true;
             }
-            if (sc.peek() == ',') {
-                ++sc.p;
-                continue;
-            }
-            sc.expect('}');
-            break;
+        } else if (key == "label_format") {
+            doc.labelFormat = docStr(val, "\"label_format\"");
+            doc.haveLabelFormat = true;
+        } else if (key == "axes") {
+            if (!val.isArray())
+                throw SpecError("grid spec: \"axes\" must be an array");
+            for (const json::Value &axis : val.items)
+                doc.axes.push_back(parseAxis(axis, doc.axes.size()));
+        } else {
+            throw SpecError("grid spec: unknown top-level key '" + key +
+                            "'");
         }
     }
-    // A truncated or concatenated document must not half-load.
-    if (!sc.eof())
-        throw SpecError(csprintf("grid spec: trailing content at "
-                                 "offset %zu", sc.p));
     return doc;
 }
 
@@ -519,16 +339,14 @@ expand(const std::string &json, PredictorKind defaultPredictor)
     // CLI threads --predictor through here).
     if (!doc.havePredictor)
         doc.predictor = defaultPredictor;
-    if (doc.basePreset.empty() && doc.baseObject.empty() &&
-        doc.haveBasePreset) {
+    if (doc.haveBasePreset && doc.basePreset.empty())
         throw SpecError("grid spec: empty base preset name");
-    }
 
     // The document's starting machine: a preset, an inline flat spec
     // object (the --machine file grammar), or the registry defaults.
     MachineConfig docBase;
     bool namedDocBase = false;
-    if (!doc.baseObject.empty()) {
+    if (doc.baseObject.isObject()) {
         docBase = specFromJson(doc.baseObject, doc.predictor);
         namedDocBase = true;
     } else if (doc.haveBasePreset) {

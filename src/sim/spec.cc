@@ -505,254 +505,80 @@ specToJson(const MachineConfig &m)
     return out;
 }
 
-namespace {
-
-/** Minimal strict scanner for the flat spec-object grammar. */
-struct Scanner
-{
-    const std::string &s;
-    std::size_t p = 0;
-
-    explicit Scanner(const std::string &text) : s(text) {}
-
-    void
-    ws()
-    {
-        while (p < s.size() && (s[p] == ' ' || s[p] == '\t' ||
-                                s[p] == '\n' || s[p] == '\r')) {
-            ++p;
-        }
-    }
-
-    bool eof() { ws(); return p >= s.size(); }
-
-    char
-    peek()
-    {
-        ws();
-        if (p >= s.size())
-            throw SpecError("machine spec: unexpected end of input");
-        return s[p];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            throw SpecError(csprintf("machine spec: expected '%c' at "
-                                     "offset %zu", c, p));
-        ++p;
-    }
-
-    /** Parse a quoted string, decoding standard JSON escapes. */
-    std::string
-    str()
-    {
-        expect('"');
-        std::string out;
-        while (p < s.size() && s[p] != '"') {
-            char c = s[p++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p >= s.size())
-                break;   // reported as unterminated below
-            const char esc = s[p++];
-            switch (esc) {
-              case '"': case '\\': case '/': out += esc; break;
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'u': {
-                if (p + 4 > s.size())
-                    throw SpecError("machine spec: truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = s[p++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        code |= h - 'a' + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        code |= h - 'A' + 10;
-                    else
-                        throw SpecError("machine spec: bad \\u escape");
-                }
-                // UTF-8 encode; our own emitter only produces \u00xx.
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xc0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (code >> 12));
-                    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
-                throw SpecError(csprintf("machine spec: unknown escape "
-                                         "\\%c", esc));
-            }
-        }
-        if (p >= s.size())
-            throw SpecError("machine spec: unterminated string");
-        ++p;   // closing quote
-        return out;
-    }
-
-    /** An unquoted token: number / true / false. */
-    std::string
-    rawToken()
-    {
-        ws();
-        const std::size_t start = p;
-        while (p < s.size() && s[p] != ',' && s[p] != '}' &&
-               s[p] != ']' && s[p] != ' ' && s[p] != '\t' &&
-               s[p] != '\n' && s[p] != '\r') {
-            ++p;
-        }
-        if (p == start)
-            throw SpecError(csprintf("machine spec: expected a value at "
-                                     "offset %zu", start));
-        return s.substr(start, p - start);
-    }
-};
-
-/** One parsed key/value: quoted values keep the distinction. */
-struct RawEntry
-{
-    std::string key;
-    std::string value;
-    bool quoted = false;
-};
-
-/**
- * Parse the object at the scanner's cursor into ordered entries. Only
- * the top-level wrapper key "machine" may hold a nested object (the
- * spec itself); any other nesting is rejected.
- */
-std::vector<RawEntry>
-parseFlatObject(Scanner &sc)
-{
-    std::vector<RawEntry> entries;
-    sc.expect('{');
-    if (sc.peek() == '}') {
-        ++sc.p;
-        return entries;
-    }
-    for (;;) {
-        RawEntry e;
-        e.key = sc.str();
-        sc.expect(':');
-        const char c = sc.peek();
-        if (c == '"') {
-            e.value = sc.str();
-            e.quoted = true;
-        } else if (c == '{' || c == '[') {
-            throw SpecError(csprintf("machine spec: key '%s' must not "
-                                     "hold a nested value",
-                                     e.key.c_str()));
-        } else {
-            e.value = sc.rawToken();
-        }
-        entries.push_back(std::move(e));
-        if (sc.peek() == ',') {
-            ++sc.p;
-            continue;
-        }
-        sc.expect('}');
-        return entries;
-    }
-}
-
-} // anonymous namespace
-
 MachineConfig
-specFromJson(const std::string &json, PredictorKind defaultPredictor)
+specFromJson(const json::Value &doc, PredictorKind defaultPredictor)
 {
-    Scanner sc(json);
-
-    // Accept a wrapper document {"machine": {...}} by descending into
-    // the "machine" object before flat parsing.
-    bool wrapped = false;
-    {
-        Scanner probe(json);
-        probe.expect('{');
-        if (!probe.eof() && probe.peek() == '"') {
-            const std::size_t save = probe.p;
-            const std::string firstKey = probe.str();
-            if (firstKey == "machine") {
-                probe.expect(':');
-                if (probe.peek() == '{') {
-                    sc.p = probe.p;
-                    wrapped = true;
-                }
-            } else {
-                probe.p = save;
-            }
-        }
+    if (!doc.isObject())
+        throw SpecError("machine spec: expected a JSON object");
+    // Accept a wrapper document {"machine": {...}}.
+    const json::Value *spec = &doc;
+    if (doc.keys.size() == 1 && doc.keys[0] == "machine" &&
+        doc.items[0].isObject()) {
+        spec = &doc.items[0];
     }
-
-    const std::vector<RawEntry> entries = parseFlatObject(sc);
-    // A truncated or concatenated document must not half-load: the
-    // machine the user gets would not be the machine in the file.
-    if (wrapped)
-        sc.expect('}');
-    if (!sc.eof())
-        throw SpecError(csprintf("machine spec: trailing content at "
-                                 "offset %zu", sc.p));
 
     MachineConfig m;
     m.predictor = defaultPredictor;
+
+    // "base" resolves first regardless of position, so parameter keys
+    // always override the preset. (Each key appears once: the parser
+    // rejects duplicates.)
+    if (const json::Value *base = spec->find("base")) {
+        if (base->type != json::Value::Type::String)
+            throw SpecError("base: expected a preset name string");
+        m = presetByName(base->text, defaultPredictor);
+    }
     std::string label;
     bool haveLabel = false;
-
-    // "base" resolves first regardless of position, so later parameter
-    // keys always override the preset (file order among parameters is
-    // last-writer-wins, like repeated --set flags).
-    for (const RawEntry &e : entries) {
-        if (e.key != "base")
+    for (std::size_t i = 0; i < spec->keys.size(); ++i) {
+        const std::string &key = spec->keys[i];
+        const json::Value &v = spec->items[i];
+        if (v.isObject() || v.isArray()) {
+            throw SpecError(csprintf("machine spec: key '%s' must not "
+                                     "hold a nested value", key.c_str()));
+        }
+        const bool quoted = v.type == json::Value::Type::String;
+        if (key == "base")
             continue;
-        if (!e.quoted)
-            throw SpecError("base: expected a preset name string");
-        m = presetByName(e.value, defaultPredictor);
-    }
-    for (const RawEntry &e : entries) {
-        if (e.key == "base")
-            continue;
-        if (e.key == "label") {
-            if (!e.quoted)
+        if (key == "label") {
+            if (!quoted)
                 throw SpecError("label: expected a string");
-            label = e.value;
+            label = v.text;
             haveLabel = true;
             continue;
         }
-        const ParamSpec *p = findParam(e.key);
+        const ParamSpec *p = findParam(key);
         if (!p)
             throw SpecError(csprintf("unknown machine parameter '%s'",
-                                     e.key.c_str()));
+                                     key.c_str()));
         if (p->type == ParamValue::Type::Str) {
-            if (!e.quoted)
+            if (!quoted)
                 throw SpecError(csprintf("%s: expected a string (%s)",
                                          p->key.c_str(),
                                          choiceList(*p).c_str()));
-        } else if (e.quoted) {
+        } else if (quoted) {
             throw SpecError(csprintf("%s: expected %s, got a string",
                                      p->key.c_str(), typeName(p->type)));
         }
-        const ParamValue v = valueFromText(*p, e.value);
-        validate(*p, v);
-        p->set(m, v);
+        const ParamValue pv = valueFromText(*p, v.text);
+        validate(*p, pv);
+        p->set(m, pv);
     }
 
     m.name = haveLabel ? label : describeSpec(m);
     return m;
+}
+
+MachineConfig
+specFromJson(const std::string &json, PredictorKind defaultPredictor)
+{
+    json::Value doc;
+    try {
+        doc = json::parse(json);
+    } catch (const json::JsonError &e) {
+        throw SpecError(std::string("machine spec: ") + e.what());
+    }
+    return specFromJson(doc, defaultPredictor);
 }
 
 // ---- diffing ---------------------------------------------------------------

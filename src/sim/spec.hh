@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/machine.hh"
 
 namespace msp {
@@ -134,9 +135,10 @@ std::string specToJson(const MachineConfig &m);
  * top level carries it under a "machine" key. Reserved keys: "base"
  * (start from this preset instead of the defaults) and "label". All
  * other keys must be registered parameters; unknown keys, type
- * mismatches, out-of-range values and trailing content after the
- * object throw SpecError naming the problem. When no label is given
- * the machine is named by describeSpec().
+ * mismatches, out-of-range values and JSON syntax errors (duplicate
+ * keys and trailing content included) throw SpecError naming the
+ * problem. When no label is given the machine is named by
+ * describeSpec().
  *
  * @p defaultPredictor seeds the machine (and any "base" preset) for
  * documents that do not set the "predictor" key themselves — the CLI
@@ -146,6 +148,10 @@ std::string specToJson(const MachineConfig &m);
 MachineConfig specFromJson(const std::string &json,
                            PredictorKind defaultPredictor =
                                PredictorKind::Gshare);
+
+/** specFromJson over an already-parsed document (or nested object). */
+MachineConfig specFromJson(const json::Value &doc,
+                           PredictorKind defaultPredictor);
 
 /** One differing parameter between a spec and its baseline. */
 struct SpecDelta

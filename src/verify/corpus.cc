@@ -67,11 +67,11 @@ Corpus::load(const std::string &path)
     // Header: a garbled version token is just as much "not a corpus"
     // as a missing one; a shape mismatch means the bitmap layout of
     // this build cannot interpret the stored maps.
-    const std::string &head = lines.front();
     std::uint64_t version = 0;
     std::uint64_t features = 0;
     std::uint64_t buckets = 0;
     try {
+        const json::Value head = json::parse(lines.front());
         version = json::getU64(head, "msp_corpus", 0);
         features = json::getU64(head, "features", 0);
         buckets = json::getU64(head, "buckets", 0);
@@ -96,18 +96,17 @@ Corpus::load(const std::string &path)
         CorpusEntry e;
         bool parsed = true;
         try {
-            e.seed = json::getU64(line, "seed", ~std::uint64_t{0});
-            e.wave = json::getU64(line, "wave", 0);
-            e.newBits = json::getU64(line, "new_bits", 0);
-            const std::string cov = json::getStr(line, "coverage");
-            const std::size_t mixAt = json::valuePos(line, "mix");
-            if (e.seed == ~std::uint64_t{0} || cov.empty() ||
-                mixAt == std::string::npos || mixAt >= line.size() ||
-                line[mixAt] != '{') {
+            const json::Value rec = json::parse(line);
+            e.seed = json::getU64(rec, "seed", ~std::uint64_t{0});
+            e.wave = json::getU64(rec, "wave", 0);
+            e.newBits = json::getU64(rec, "new_bits", 0);
+            const std::string cov = json::getStr(rec, "coverage");
+            const json::Value *mix = json::getObject(rec, "mix");
+            if (e.seed == ~std::uint64_t{0} || cov.empty() || !mix) {
                 parsed = false;
             } else {
                 e.coverage = CoverageMap::fromHex(cov);
-                e.mix = mixFromJson(json::balancedSlice(line, mixAt));
+                e.mix = mixFromJson(*mix);
             }
         } catch (const json::JsonError &) {
             // Torn mid-field is "not parsed"; whether that is

@@ -1,7 +1,5 @@
 #include "verify/report.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <memory>
 
 #include "common/json.hh"
@@ -9,21 +7,10 @@
 #include "common/parse.hh"
 #include "driver/report.hh"
 #include "sim/spec.hh"
+#include "workload/trace.hh"
 
 namespace msp {
 namespace verify {
-
-// Extraction runs on the shared primitives (common/json.hh): one
-// escape/unescape pair for the whole tree, so every label this file
-// writes reads back byte-identical. (The historical local reader
-// decoded "\n" to a literal 'n'.)
-using json::balancedSlice;
-using json::getNum;
-using json::getStr;
-using json::getU64;
-using json::innerArrays;
-using json::innerStrings;
-using json::valuePos;
 
 std::string
 mixToJson(const FuzzMix &m)
@@ -53,10 +40,12 @@ mixToJson(const FuzzMix &m)
 }
 
 FuzzMix
-mixFromJson(const std::string &obj)
+mixFromJson(const json::Value &obj)
 {
+    using json::getNum;
+    using json::getU64;
     FuzzMix m;
-    m.name = getStr(obj, "name", m.name);
+    m.name = json::getStr(obj, "name", m.name);
     m.weights.alu = getNum(obj, "alu", m.weights.alu);
     m.weights.fp = getNum(obj, "fp", m.weights.fp);
     m.weights.load = getNum(obj, "load", m.weights.load);
@@ -85,81 +74,6 @@ mixFromJson(const std::string &obj)
     m.targetDynamic = getU64(obj, "target_dynamic", m.targetDynamic);
     return m;
 }
-
-namespace {
-
-/** Opcode whose mnemonic is @p name; false when unknown. */
-bool
-opcodeByName(const std::string &name, Opcode &out)
-{
-    for (int i = 0; i < static_cast<int>(Opcode::NumOpcodes); ++i) {
-        if (name == opName(static_cast<Opcode>(i))) {
-            out = static_cast<Opcode>(i);
-            return true;
-        }
-    }
-    return false;
-}
-
-/** One ["mnemonic", rd, rs1, rs2, imm] tuple. */
-Instruction
-parseCodeEntry(const std::string &e)
-{
-    const std::size_t q1 = e.find('"');
-    const std::size_t q2 =
-        q1 == std::string::npos ? std::string::npos : e.find('"', q1 + 1);
-    if (q2 == std::string::npos)
-        throw SpecError("program code entry without a mnemonic: " + e);
-    const std::string mn = e.substr(q1 + 1, q2 - q1 - 1);
-    Instruction in;
-    if (!opcodeByName(mn, in.op))
-        throw SpecError("unknown opcode mnemonic '" + mn + "'");
-    std::int64_t v[4] = {0, 0, 0, 0};
-    std::size_t p = q2 + 1;
-    for (int i = 0; i < 4; ++i) {
-        p = e.find(',', p);
-        if (p == std::string::npos)
-            throw SpecError("short program code entry: " + e);
-        ++p;
-        while (p < e.size() && e[p] == ' ')
-            ++p;
-        errno = 0;
-        char *end = nullptr;
-        v[i] = std::strtoll(e.c_str() + p, &end, 10);
-        if (errno == ERANGE)
-            throw SpecError("immediate overflows in code entry: " + e);
-        // The number must run up to the next delimiter: "1junk" would
-        // otherwise silently parse as 1 and replay a different program.
-        // The last operand must be followed by the closing bracket —
-        // a fifth field would be silently dropped otherwise.
-        std::size_t q = static_cast<std::size_t>(end - e.c_str());
-        if (q == p)
-            throw SpecError("non-numeric operand in code entry: " + e);
-        while (q < e.size() && e[q] == ' ')
-            ++q;
-        const char delim = i < 3 ? ',' : ']';
-        if (q >= e.size() || e[q] != delim)
-            throw SpecError("trailing garbage in code entry: " + e);
-        p = q;
-    }
-    // Operands must fail loudly, not narrow: an int8_t cast would wrap
-    // ["add", 300, ...] to r44 and silently replay a different program.
-    for (int i = 0; i < 3; ++i) {
-        if (v[i] < -1 || v[i] >= numLogRegs / 2) {
-            throw SpecError(csprintf("register operand %lld out of "
-                                     "range in code entry: %s",
-                                     static_cast<long long>(v[i]),
-                                     e.c_str()));
-        }
-    }
-    in.rd = static_cast<std::int8_t>(v[0]);
-    in.rs1 = static_cast<std::int8_t>(v[1]);
-    in.rs2 = static_cast<std::int8_t>(v[2]);
-    in.imm = v[3];
-    return in;
-}
-
-} // anonymous namespace
 
 std::string
 programToJson(const Program &prog)
@@ -193,57 +107,27 @@ programToJson(const Program &prog)
 }
 
 Program
+programFromJson(const json::Value &obj)
+{
+    Program prog = trace::imageFromJson(obj);
+    const json::Value *code = json::getArray(obj, "code");
+    if (!code)
+        throw json::JsonError("embedded program carries no code array");
+    for (const json::Value &tuple : code->items)
+        prog.code.push_back(trace::instructionFromJson(tuple));
+    if (prog.code.empty())
+        throw json::JsonError("embedded program code array is empty");
+    return prog;
+}
+
+Program
 programFromJson(const std::string &json)
 {
-    Program prog;
-    prog.name = getStr(json, "name");
-    prog.memWords =
-        static_cast<std::size_t>(getU64(json, "mem_words", prog.memWords));
-    if (prog.memWords == 0 ||
-        (prog.memWords & (prog.memWords - 1)) != 0) {
-        throw SpecError(csprintf("program mem_words %zu is not a power "
-                                 "of two", prog.memWords));
+    try {
+        return programFromJson(json::parse(json));
+    } catch (const json::JsonError &e) {
+        throw SpecError(std::string("embedded program: ") + e.what());
     }
-    // Geometry must fail loudly here, not as a bad_alloc (or worse)
-    // when ArchState materialises it: 2^24 words = 128 MiB is far
-    // beyond anything the fuzzer emits.
-    if (prog.memWords > (std::size_t{1} << 24)) {
-        throw SpecError(csprintf("program mem_words %zu is implausibly "
-                                 "large", prog.memWords));
-    }
-    prog.entry = getU64(json, "entry", 0);
-    prog.codeBase = getU64(json, "code_base", prog.codeBase);
-
-    const std::size_t dataAt = valuePos(json, "init_data");
-    if (dataAt != std::string::npos && json[dataAt] == '[') {
-        for (const std::string &w :
-             innerStrings(balancedSlice(json, dataAt))) {
-            char *end = nullptr;
-            const std::uint64_t word =
-                std::strtoull(w.c_str(), &end, 16);
-            if (w.empty() || end != w.c_str() + w.size()) {
-                throw SpecError("non-hexadecimal init_data word '" + w +
-                                "'");
-            }
-            prog.initData.push_back(word);
-        }
-    }
-    // ArchState copies initData into a mem_words-sized image: excess
-    // words would write out of bounds.
-    if (prog.initData.size() > prog.memWords) {
-        throw SpecError(csprintf("program init_data (%zu words) "
-                                 "exceeds mem_words (%zu)",
-                                 prog.initData.size(), prog.memWords));
-    }
-
-    const std::size_t codeAt = valuePos(json, "code");
-    if (codeAt == std::string::npos || json[codeAt] != '[')
-        throw SpecError("embedded program carries no code array");
-    for (const std::string &e : innerArrays(balancedSlice(json, codeAt)))
-        prog.code.push_back(parseCodeEntry(e));
-    if (prog.code.empty())
-        throw SpecError("embedded program code array is empty");
-    return prog;
 }
 
 std::size_t
@@ -499,8 +383,11 @@ outcomeToJson(const DiffOutcome &o)
 }
 
 DiffOutcome
-outcomeFromJson(const std::string &doc)
+outcomeFromJson(const std::string &json)
 {
+    using json::getStr;
+    using json::getU64;
+    const json::Value doc = json::parse(json);
     DiffOutcome o;
     o.mix = getStr(doc, "mix");
     o.seed = getU64(doc, "seed", 0);
@@ -538,11 +425,8 @@ outcomeFromJson(const std::string &doc)
     else if (o.hasCoverage)
         throw json::JsonError(
             "outcome has_coverage set without a coverage bitmap");
-    const std::size_t divAt = valuePos(doc, "divergences");
-    if (divAt != std::string::npos && divAt < doc.size() &&
-        doc[divAt] == '[') {
-        for (const std::string &d :
-             json::innerObjects(balancedSlice(doc, divAt))) {
+    if (const json::Value *divs = json::getArray(doc, "divergences")) {
+        for (const json::Value &d : divs->items) {
             o.divergences.push_back(
                 Divergence{getStr(d, "kind"), getStr(d, "detail")});
         }
@@ -551,72 +435,52 @@ outcomeFromJson(const std::string &doc)
 }
 
 std::vector<ReproSpec>
-parseRepros(const std::string &json)
+parseRepros(const std::string &text)
 {
     std::vector<ReproSpec> specs;
-    const std::size_t key = json.find("\"repros\":");
-    if (key == std::string::npos)
+    // An empty file is no document at all, so it carries no repros.
+    if (text.find_first_not_of(" \t\r\n") == std::string::npos)
         return specs;
-    const std::size_t open = json.find('[', key);
-    if (open == std::string::npos)
-        return specs;
-    const std::string arr = balancedSlice(json, open);
-
-    // Walk top-level objects of the array.
-    int depth = 0;
-    bool inStr = false;
-    for (std::size_t p = 0; p < arr.size(); ++p) {
-        const char c = arr[p];
-        if (inStr) {
-            if (c == '\\')
-                ++p;
-            else if (c == '"')
-                inStr = false;
-        } else if (c == '"') {
-            inStr = true;
-        } else if (c == '[') {
-            ++depth;
-        } else if (c == ']') {
-            --depth;
-        } else if (c == '{' && depth == 1) {
-            const std::string obj = balancedSlice(arr, p);
-            if (obj.empty())
-                break;
+    try {
+        const json::Value doc = json::parse(text);
+        const json::Value *verify =
+            doc.isObject() ? json::getObject(doc, "verify") : nullptr;
+        const json::Value *repros =
+            verify ? json::getArray(*verify, "repros") : nullptr;
+        if (!repros)
+            return specs;
+        for (const json::Value &obj : repros->items) {
             ReproSpec spec;
-            spec.kind = getStr(obj, "kind");
-            spec.seed = getU64(obj, "seed", 1);
-            spec.preset = getStr(obj, "preset");
-            spec.predictor = getStr(obj, "predictor", "gshare");
-            spec.maxInsts = getU64(obj, "max_insts", 1u << 20);
+            spec.kind = json::getStr(obj, "kind");
+            spec.seed = json::getU64(obj, "seed", 1);
+            spec.preset = json::getStr(obj, "preset");
+            spec.predictor = json::getStr(obj, "predictor", "gshare");
+            spec.maxInsts = json::getU64(obj, "max_insts", 1u << 20);
             // Optional triage fields: absent means the corresponding
             // stage was off (no cadence, no exact bisection).
-            spec.snapshotEvery = getU64(obj, "snapshot_every", 0);
-            spec.firstBadCommit = getU64(obj, "first_bad_commit", 0);
+            spec.snapshotEvery = json::getU64(obj, "snapshot_every", 0);
+            spec.firstBadCommit = json::getU64(obj, "first_bad_commit", 0);
             // The full machine spec wins over the cosmetic preset
             // name. An unparseable spec propagates as SpecError — a
             // repro that silently fell back to a preset could replay a
             // different machine and lie about the divergence.
-            const std::size_t machineAt = valuePos(obj, "machine");
-            if (machineAt != std::string::npos && obj[machineAt] == '{') {
-                spec.machine =
-                    specFromJson(balancedSlice(obj, machineAt));
+            if (const json::Value *m = json::getObject(obj, "machine")) {
+                spec.machine = specFromJson(*m, PredictorKind::Gshare);
                 spec.hasMachine = true;
             }
-            const std::size_t mixAt = valuePos(obj, "mix");
-            if (mixAt != std::string::npos && obj[mixAt] == '{')
-                spec.mix = mixFromJson(balancedSlice(obj, mixAt));
+            if (const json::Value *mix = json::getObject(obj, "mix"))
+                spec.mix = mixFromJson(*mix);
             // A structurally reduced image is the program authority:
-            // like the machine spec, it must parse or fail loudly
-            // (programFromJson throws SpecError) — regenerating from
-            // (seed, mix) instead would replay a different program.
-            const std::size_t progAt = valuePos(obj, "program");
-            if (progAt != std::string::npos && obj[progAt] == '{') {
-                spec.program = std::make_shared<Program>(
-                    programFromJson(balancedSlice(obj, progAt)));
-            }
+            // like the machine spec, it must parse or fail loudly —
+            // regenerating from (seed, mix) instead would replay a
+            // different program.
+            if (const json::Value *prog = json::getObject(obj, "program"))
+                spec.program =
+                    std::make_shared<Program>(programFromJson(*prog));
             specs.push_back(std::move(spec));
-            p += obj.size() - 1;
         }
+    } catch (const json::JsonError &e) {
+        throw SpecError(std::string("repro document: ") + e.what());
     }
     return specs;
 }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "verify/oracle.hh"
 #include "verify/shrink.hh"
 
@@ -53,9 +54,10 @@ std::string toJson(const std::vector<DiffOutcome> &outcomes,
                    const CoverageReport &coverage = {});
 
 /**
- * Parse the "repros" array back out of a toJson() document (the
- * `--repro` replay path). Only the schema toJson() emits is supported;
- * a document without a repros array parses as empty. Each entry's
+ * Parse the "verify"."repros" array back out of a toJson() document
+ * (the `--repro` replay path). Any key order and formatting parses; a
+ * document without a repros array (or an empty file) parses as empty,
+ * and a malformed one throws SpecError. Each entry's
  * embedded "machine" spec (the replay authority — any machine replays,
  * preset or not) parses through sim/spec.hh; an unparseable spec — or
  * an unparseable embedded "program" image — throws SpecError rather
@@ -82,16 +84,23 @@ std::string programToJson(const Program &prog);
 Program programFromJson(const std::string &json);
 
 /**
+ * programFromJson over a parsed object (the trace codec's image and
+ * tuple readers plus the "code" array). @throws json::JsonError.
+ */
+Program programFromJson(const json::Value &obj);
+
+/**
  * One FuzzMix as a flat JSON object (the schema the repro parser reads
  * back). Also the mix component of diffJobKey's identity string.
  */
 std::string mixToJson(const FuzzMix &m);
 
 /**
- * Parse a mixToJson() object back into a FuzzMix (absent keys keep
+ * Read a mixToJson() object back into a FuzzMix (absent keys keep
  * their defaults). Shared by the repro parser and the corpus loader.
+ * @throws json::JsonError on a mistyped or malformed field.
  */
-FuzzMix mixFromJson(const std::string &obj);
+FuzzMix mixFromJson(const json::Value &obj);
 
 /**
  * Serialise / parse one DiffOutcome as a checkpoint payload

@@ -5,6 +5,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "driver/report.hh"
 #include "isa/opcodes.hh"
 
@@ -34,71 +35,6 @@ fail(std::size_t line, const std::string &what)
     throw TraceError(csprintf("trace line %zu: %s", line, what.c_str()));
 }
 
-/**
- * One ["mnemonic", rd, rs1, rs2, imm] record. The same strictness
- * rules as the verify-report program codec: operands must be complete
- * decimal integers up to the next delimiter, register fields must fit
- * the logical file, and a fifth operand is an error, not dropped.
- */
-Instruction
-parseRecord(const std::string &e, std::size_t line)
-{
-    if (e.empty() || e[0] != '[')
-        fail(line, "expected an instruction tuple starting with '['");
-    const std::size_t q1 = e.find('"');
-    const std::size_t q2 =
-        q1 == std::string::npos ? std::string::npos : e.find('"', q1 + 1);
-    if (q2 == std::string::npos)
-        fail(line, "instruction record without a mnemonic");
-    const std::string mn = e.substr(q1 + 1, q2 - q1 - 1);
-    Instruction in;
-    if (!opcodeByName(mn, in.op))
-        fail(line, "unknown opcode mnemonic '" + mn + "'");
-    std::int64_t v[4] = {0, 0, 0, 0};
-    std::size_t p = q2 + 1;
-    for (int i = 0; i < 4; ++i) {
-        p = e.find(',', p);
-        if (p == std::string::npos)
-            fail(line, "instruction record has fewer than 4 operands");
-        ++p;
-        while (p < e.size() && e[p] == ' ')
-            ++p;
-        errno = 0;
-        char *end = nullptr;
-        v[i] = std::strtoll(e.c_str() + p, &end, 10);
-        if (errno == ERANGE)
-            fail(line, "operand overflows 64 bits");
-        std::size_t q = static_cast<std::size_t>(end - e.c_str());
-        if (q == p)
-            fail(line, csprintf("non-numeric operand %d", i + 1));
-        while (q < e.size() && e[q] == ' ')
-            ++q;
-        const char delim = i < 3 ? ',' : ']';
-        if (q >= e.size() || e[q] != delim) {
-            fail(line, i < 3 ? csprintf("malformed operand %d", i + 1)
-                             : "trailing content after the 5-tuple");
-        }
-        p = q;
-    }
-    // The tuple must end at its closing bracket (trailing whitespace
-    // was stripped by the line splitter).
-    if (p + 1 != e.size())
-        fail(line, "trailing content after the instruction tuple");
-    for (int i = 0; i < 3; ++i) {
-        if (v[i] < -1 || v[i] >= numLogRegs / 2) {
-            fail(line, csprintf("register operand %lld out of range "
-                                "[-1, %d]",
-                                static_cast<long long>(v[i]),
-                                numLogRegs / 2 - 1));
-        }
-    }
-    in.rd = static_cast<std::int8_t>(v[0]);
-    in.rs1 = static_cast<std::int8_t>(v[1]);
-    in.rs2 = static_cast<std::int8_t>(v[2]);
-    in.imm = v[3];
-    return in;
-}
-
 /** Strip an optional trailing '\r' and surrounding spaces. */
 std::string
 trimmed(const std::string &s)
@@ -114,6 +50,104 @@ trimmed(const std::string &s)
 }
 
 } // anonymous namespace
+
+Program
+imageFromJson(const json::Value &obj)
+{
+    Program prog;
+    prog.name = json::getStr(obj, "name");
+    prog.memWords = static_cast<std::size_t>(
+        json::getU64(obj, "mem_words", prog.memWords));
+    prog.entry = json::getU64(obj, "entry", 0);
+    prog.codeBase = json::getU64(obj, "code_base", prog.codeBase);
+    if (prog.memWords == 0 || (prog.memWords & (prog.memWords - 1)) != 0) {
+        throw json::JsonError(csprintf("mem_words %zu is not a power of "
+                                       "two", prog.memWords));
+    }
+    // Geometry must fail here, not as a bad_alloc when ArchState
+    // materialises the image (2^24 words is already 128 MiB).
+    if (prog.memWords > (std::size_t{1} << 24)) {
+        throw json::JsonError(csprintf("mem_words %zu is implausibly "
+                                       "large", prog.memWords));
+    }
+    if (const json::Value *data = json::getArray(obj, "init_data")) {
+        for (const json::Value &w : data->items) {
+            const std::string &hex = json::asStr(w, "init_data word");
+            std::uint64_t word = 0;
+            if (parse::hexU64(hex, word) != parse::Status::Ok) {
+                throw json::JsonError("non-hexadecimal init_data word '" +
+                                      hex + "'");
+            }
+            prog.initData.push_back(word);
+        }
+    }
+    // ArchState copies initData into a mem_words-sized image: excess
+    // words would write out of bounds.
+    if (prog.initData.size() > prog.memWords) {
+        throw json::JsonError(csprintf("init_data (%zu words) exceeds "
+                                       "mem_words (%zu)",
+                                       prog.initData.size(),
+                                       prog.memWords));
+    }
+    return prog;
+}
+
+Instruction
+instructionFromJson(const json::Value &tuple)
+{
+    if (!tuple.isArray() || tuple.items.empty() ||
+        tuple.items[0].type != json::Value::Type::String) {
+        throw json::JsonError("instruction record is not a "
+                              "[\"mnemonic\", rd, rs1, rs2, imm] tuple");
+    }
+    const std::string &mn = tuple.items[0].text;
+    Instruction in;
+    if (!opcodeByName(mn, in.op))
+        throw json::JsonError("unknown opcode mnemonic '" + mn + "'");
+    const std::size_t operands = tuple.items.size() - 1;
+    if (operands < 4) {
+        // Name the operand the tuple closes after, if any.
+        throw json::JsonError(
+            operands == 0
+                ? std::string("instruction record has fewer than 4 "
+                              "operands")
+                : csprintf("malformed operand %zu: instruction record has "
+                           "fewer than 4 operands", operands));
+    }
+    if (operands > 4)
+        throw json::JsonError("instruction record has more than 4 operands");
+    std::int64_t v[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 4; ++i) {
+        const json::Value &op = tuple.items[i + 1];
+        if (op.type != json::Value::Type::Number)
+            throw json::JsonError(csprintf("non-numeric operand %d", i + 1));
+        // Whole-token integers only: "1.5" or "1e3" must not truncate
+        // and replay a different program.
+        errno = 0;
+        char *end = nullptr;
+        v[i] = std::strtoll(op.text.c_str(), &end, 10);
+        if (errno == ERANGE)
+            throw json::JsonError(csprintf("operand %d overflows 64 bits",
+                                           i + 1));
+        if (end != op.text.c_str() + op.text.size())
+            throw json::JsonError(csprintf("malformed operand %d", i + 1));
+    }
+    // Operands must fail loudly, not narrow: an int8_t cast would wrap
+    // ["add", 300, ...] to r44 and silently replay a different program.
+    for (int i = 0; i < 3; ++i) {
+        if (v[i] < -1 || v[i] >= numLogRegs / 2) {
+            throw json::JsonError(csprintf("register operand %lld out of "
+                                           "range [-1, %d]",
+                                           static_cast<long long>(v[i]),
+                                           numLogRegs / 2 - 1));
+        }
+    }
+    in.rd = static_cast<std::int8_t>(v[0]);
+    in.rs1 = static_cast<std::int8_t>(v[1]);
+    in.rs2 = static_cast<std::int8_t>(v[2]);
+    in.imm = v[3];
+    return in;
+}
 
 std::string
 toJsonl(const Program &prog)
@@ -169,58 +203,38 @@ fromJsonl(const std::string &text)
         throw TraceError("trace line 1: empty trace (no header record)");
 
     const auto &[headerLine, header] = lines.front();
-    if (header.empty() || header[0] != '{')
+    if (header[0] != '{')
         fail(headerLine, "expected the header object on the first "
                          "non-empty line");
-    const std::string fmt = json::getStr(header, "format");
-    if (fmt != formatId) {
-        fail(headerLine, csprintf("unsupported format '%s' (want '%s')",
-                                  fmt.c_str(), formatId));
-    }
-
     Program prog;
     try {
-        prog.name = json::getStr(header, "name");
-        prog.memWords = static_cast<std::size_t>(
-            json::getU64(header, "mem_words", prog.memWords));
-        prog.entry = json::getU64(header, "entry", 0);
-        prog.codeBase = json::getU64(header, "code_base", prog.codeBase);
+        const json::Value head = json::parse(header);
+        const std::string fmt = json::getStr(head, "format");
+        if (fmt != formatId) {
+            fail(headerLine, csprintf("unsupported format '%s' (want "
+                                      "'%s')", fmt.c_str(), formatId));
+        }
+        prog = imageFromJson(head);
     } catch (const json::JsonError &e) {
         fail(headerLine, e.what());
-    }
-    if (prog.memWords == 0 || (prog.memWords & (prog.memWords - 1)) != 0)
-        fail(headerLine, csprintf("mem_words %zu is not a power of two",
-                                  prog.memWords));
-    // Geometry must fail here, not as a bad_alloc when ArchState
-    // materialises the image (2^24 words is already 128 MiB).
-    if (prog.memWords > (std::size_t{1} << 24))
-        fail(headerLine, csprintf("mem_words %zu is implausibly large",
-                                  prog.memWords));
-
-    const std::size_t dataAt = json::valuePos(header, "init_data");
-    if (dataAt != std::string::npos) {
-        if (header[dataAt] != '[')
-            fail(headerLine, "init_data must be an array of hex words");
-        for (const std::string &w :
-             json::innerStrings(json::balancedSlice(header, dataAt))) {
-            char *end = nullptr;
-            const std::uint64_t word = std::strtoull(w.c_str(), &end, 16);
-            if (w.empty() || end != w.c_str() + w.size())
-                fail(headerLine, "non-hexadecimal init_data word '" + w +
-                                 "'");
-            prog.initData.push_back(word);
-        }
-    }
-    if (prog.initData.size() > prog.memWords) {
-        fail(headerLine, csprintf("init_data (%zu words) exceeds "
-                                  "mem_words (%zu)",
-                                  prog.initData.size(), prog.memWords));
     }
     if (prog.name.empty())
         prog.name = "trace";
 
-    for (std::size_t i = 1; i < lines.size(); ++i)
-        prog.code.push_back(parseRecord(lines[i].second, lines[i].first));
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        const auto &[line, record] = lines[i];
+        if (record[0] != '[')
+            fail(line, "expected an instruction tuple starting with '['");
+        try {
+            prog.code.push_back(instructionFromJson(json::parse(record)));
+        } catch (const json::JsonError &e) {
+            // A syntax error inside an operand names that operand.
+            if (e.element >= 1 && e.element <= 4)
+                fail(line, csprintf("non-numeric operand %zu (%s)",
+                                    e.element, e.what()));
+            fail(line, e.what());
+        }
+    }
     if (prog.code.empty()) {
         fail(headerLine + 1, "trace carries no instruction records");
     }

@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hh"
 #include "isa/program.hh"
 
 namespace msp {
@@ -42,6 +43,24 @@ struct TraceError : std::runtime_error
 
 /** The trace format identifier the header must carry. */
 extern const char *const formatId;
+
+/**
+ * The program-image codec shared by traces and verify repros
+ * (verify::programFromJson). Reads "name", "mem_words", "entry",
+ * "code_base" and "init_data" (16-digit hex words) from @p obj into a
+ * Program with no code. @throws json::JsonError when mem_words is not
+ * a power of two or exceeds 2^24 words, an init_data word is not hex,
+ * or init_data holds more words than mem_words.
+ */
+Program imageFromJson(const json::Value &obj);
+
+/**
+ * One ["mnemonic", rd, rs1, rs2, imm] tuple. @throws json::JsonError
+ * on an unknown mnemonic, a missing or extra operand, an operand that
+ * is not a whole decimal integer, or a register operand outside
+ * [-1, numLogRegs / 2).
+ */
+Instruction instructionFromJson(const json::Value &tuple);
 
 /** Serialise @p prog as trace JSONL (header line + one line/instr). */
 std::string toJsonl(const Program &prog);

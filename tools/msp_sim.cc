@@ -219,7 +219,7 @@ printUsage(std::FILE *to)
         "                 failures, the reduced program image itself —\n"
         "                 so custom ablation machines and reduced\n"
         "                 programs replay bit-identically; exit 2 on\n"
-        "                 unparseable specs)\n"
+        "                 unparseable repros)\n"
         "  --bisect-exact after shrinking, re-run each divergent job\n"
         "                 with binary-searched probe points until the\n"
         "                 single first divergent commit is found\n"
@@ -522,11 +522,10 @@ runRepro(const CliOptions &o)
     try {
         specs = verify::parseRepros(doc);
     } catch (const SpecError &e) {
-        // A repro whose machine spec does not parse must fail loudly:
-        // silently skipping (or falling back to a preset) could replay
-        // a different machine and read as "fixed".
-        std::fprintf(stderr,
-                     "msp_sim: unparseable machine spec in %s: %s\n",
+        // A repro whose document or machine spec does not parse must
+        // fail loudly: silently skipping (or falling back to a preset)
+        // could replay a different machine and read as "fixed".
+        std::fprintf(stderr, "msp_sim: unparseable repro in %s: %s\n",
                      o.reproPath.c_str(), e.what());
         return 2;
     }
