@@ -306,16 +306,27 @@ benchReportFromJson(const std::string &text)
     return r;
 }
 
+namespace {
+
+/** The configuration named @p name in @p r, or nullptr. */
+const BenchConfigResult *
+findConfig(const BenchReport &r, const std::string &name)
+{
+    for (const BenchConfigResult &c : r.configs)
+        if (c.config == name)
+            return &c;
+    return nullptr;
+}
+
+} // anonymous namespace
+
 std::vector<std::string>
 benchRegressions(const BenchReport &baseline, const BenchReport &current,
                  double pct)
 {
     std::vector<std::string> out;
     for (const BenchConfigResult &cur : current.configs) {
-        const BenchConfigResult *base = nullptr;
-        for (const BenchConfigResult &b : baseline.configs)
-            if (b.config == cur.config)
-                base = &b;
+        const BenchConfigResult *base = findConfig(baseline, cur.config);
         if (!base)
             continue;
         const double was = base->minstrPerSec();
@@ -328,6 +339,32 @@ benchRegressions(const BenchReport &baseline, const BenchReport &current,
                 "%s: %.2f -> %.2f MInstr/s (-%.1f%%, gate %.0f%%)",
                 cur.config.c_str(), was, now, (was - now) / was * 100.0,
                 pct));
+        }
+    }
+    return out;
+}
+
+std::optional<std::vector<std::string>>
+benchCountDrift(const BenchReport &baseline, const BenchReport &current)
+{
+    if (baseline.instrs != current.instrs ||
+        baseline.seed != current.seed ||
+        baseline.predictor != current.predictor ||
+        baseline.workloads != current.workloads)
+        return std::nullopt;
+    std::vector<std::string> out;
+    for (const BenchConfigResult &cur : current.configs) {
+        const BenchConfigResult *base = findConfig(baseline, cur.config);
+        if (!base)
+            continue;
+        if (cur.committed != base->committed || cur.cycles != base->cycles) {
+            out.push_back(csprintf(
+                "%s: committed %llu -> %llu, cycles %llu -> %llu",
+                cur.config.c_str(),
+                static_cast<unsigned long long>(base->committed),
+                static_cast<unsigned long long>(cur.committed),
+                static_cast<unsigned long long>(base->cycles),
+                static_cast<unsigned long long>(cur.cycles)));
         }
     }
     return out;

@@ -8,7 +8,8 @@
  * the *simulator* (MInstr/s), which is what hot-path optimisation work
  * must not regress. `msp_sim bench` renders a BENCH_throughput.json
  * report through these helpers; CI gates pull requests against the
- * committed baseline of the same host fingerprint.
+ * committed baseline: simulated counts on any host, throughput only
+ * against a baseline of the same host fingerprint.
  *
  * Measurement discipline:
  *  - single-threaded, sequential runs (optionally CPU-pinned by the
@@ -28,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,6 +136,18 @@ BenchReport benchReportFromJson(const std::string &doc);
 std::vector<std::string> benchRegressions(const BenchReport &baseline,
                                           const BenchReport &current,
                                           double pct);
+
+/**
+ * Host-independent drift check: when @p baseline and @p current
+ * measured the same runs (equal instrs, seed, predictor and workload
+ * list), every configuration present in both must report exactly the
+ * baseline's committed and cycle counts — the simulator is
+ * deterministic, so any difference is a timing-model change or a
+ * determinism bug, on whatever host. @return std::nullopt when the
+ * runs are not comparable, else the drift lines (empty = clean).
+ */
+std::optional<std::vector<std::string>>
+benchCountDrift(const BenchReport &baseline, const BenchReport &current);
 
 } // namespace driver
 } // namespace msp

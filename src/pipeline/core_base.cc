@@ -263,31 +263,39 @@ CoreBase::executeInst(DynInst &d)
 void
 CoreBase::doIssueStage()
 {
-    // Select scans the ready bitvector in age order. The bits are
-    // maintained event-driven (initWakeup at rename, wakeSrc at
+    // Select walks the IQ's ready bitmap, which is indexed by age-list
+    // position, so it visits only ready entries, oldest first. The bits
+    // are maintained event-driven (initWakeup at rename, wakeSrc at
     // writeback); most stalled cycles exit on the anyReady() test
-    // without touching the age list at all.
+    // without touching the bitmap at all.
     if (!iq.anyReady())
         return;
+    // Nothing inserts, wakes or compacts during issue (rename runs
+    // after it, writeback before): the walk only removes the entry it
+    // just yielded, which is what keeps the iterator valid.
+    const std::uint64_t admitted = iq.admissions();
     unsigned issuedThisCycle = 0;
-    const auto &order = iq.ageOrder();
-    for (const std::int32_t slot : order) {
+    for (const int slot : iq.readyOldestFirst()) {
         if (issuedThisCycle >= params.issueWidth)
             break;
-        if (slot < 0 || !iq.ready(slot))
-            continue;
         DynInst &d = *iq.at(slot);
         msp_assert(!d.squashed && !d.issued, "stale IQ entry");
         msp_assert(operandsReady(d),
                    "IQ slot %d ready bit set with operands not ready",
                    slot);
 
-        readOperands(d);
-        executeInst(d);
-
+        // Each instruction is evaluated once. Structural checks come
+        // first; a load's address is computed on its first attempt and
+        // kept while it waits, since a source value cannot change while
+        // its consumer sits in the IQ (window_lanes.hh). A load address
+        // is 8-byte aligned, so invalidAddr means "not computed yet".
         const OpInfo &oi = d.info();
         Cycle latency = oi.latency;
         if (oi.isLoad) {
+            if (d.effAddr == invalidAddr) {
+                readOperands(d);
+                executeInst(d);
+            }
             ForwardResult fw = sq.probe(d.seq, d.effAddr);
             ++pathEvents.sqProbe[static_cast<unsigned>(fw.kind)];
             if (fw.kind == ForwardResult::Kind::Unknown ||
@@ -310,6 +318,8 @@ CoreBase::doIssueStage()
                 !fuPool.tryAcquire(oi.fu)) {
                 continue;
             }
+            readOperands(d);
+            executeInst(d);
             if (oi.isStore) {
                 sq.resolve(d.seq, d.effAddr, d.storeData);
                 latency = 1;
@@ -323,6 +333,8 @@ CoreBase::doIssueStage()
         inExec.push_back(&d);
         ++issuedThisCycle;
     }
+    msp_assert(iq.admissions() == admitted,
+               "IQ insert or wakeup during select");
 }
 
 // ---------------------------------------------------------------------------

@@ -196,8 +196,10 @@ class CoreBase
 
     /**
      * Issue-time structural check (MSP register-file read-port
-     * arbitration). Called after operandsReady passes; claiming happens
-     * in onIssued.
+     * arbitration). Runs before readOperands: right after select for a
+     * non-load, after a clean store-queue probe for a load. Called once
+     * per attempt, so a refused entry is counted again on each retry;
+     * claiming happens in onIssued.
      */
     virtual bool issuePortsAvailable(const DynInst &d) { return true; }
 

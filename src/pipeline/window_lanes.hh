@@ -10,12 +10,17 @@
  * which stays in the DynInstPool arena) into dense parallel lanes
  * indexed by IQ slot id:
  *
- *   - a ready bitvector (one bit per slot) the select loop scans,
  *   - a pending-source counter driving event-driven wakeup,
  *   - a generation counter guarding against stale wakeups on slot reuse,
  *   - seq / source-tag / FU-class lanes for asserts and diagnostics,
- *   - the age-ordered slot list (sorted by construction, holes
- *     compacted lazily) that fixes select priority.
+ *
+ * plus the age-ordered slot list (sorted by construction, holes
+ * compacted lazily) that fixes select priority, and the one ready
+ * bitmap, indexed by *position in that list* rather than by slot. Bit
+ * i set means the entry at age position i is ready, so select walks
+ * the set bits with countr_zero and visits ready entries oldest first
+ * without touching waiting entries or holes. Compaction moves each bit
+ * with its entry.
  *
  * Readiness becomes *event-driven*: a slot's pending count is set once
  * at insert (counting distinct not-yet-ready source tags) and
@@ -37,7 +42,9 @@
 #ifndef MSPLIB_PIPELINE_WINDOW_LANES_HH
 #define MSPLIB_PIPELINE_WINDOW_LANES_HH
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/logging.hh"
@@ -59,7 +66,7 @@ class WindowLanes
         fuLane.assign(capacity, 0);
         pendingLane.assign(capacity, 0);
         genLane.assign(capacity, 0);
-        readyWords.assign((capacity + 63) / 64, 0);
+        readyPos.assign((orderLimit + 63) / 64, 0);
         freeSlots.reserve(capacity);
         for (unsigned i = 0; i < capacity; ++i)
             freeSlots.push_back(capacity - 1 - i);
@@ -89,13 +96,16 @@ class WindowLanes
         seqLane[slot] = d->seq;
         d->iqSlot = slot;
         d->inIq = true;
-        // Rename inserts in seq order (seq is assigned at fetch and the
-        // fetchQ is a FIFO), so the age list stays sorted by
-        // construction. Squashes only remove younger entries, so the
-        // last live element is always older than a new insert.
-        msp_assert(order.empty() || order.back() < 0 ||
-                       seqLane[order.back()] < d->seq,
+        // Rename inserts in seq order (seq is assigned at fetch, the
+        // fetchQ is a FIFO, and a squash never hands a seq out again),
+        // so the age list stays sorted by construction. Select priority
+        // depends on it. Checked against the last insert rather than
+        // the youngest live entry, which may already have left.
+        msp_assert(lastInsertSeq == invalidSeqNum ||
+                       lastInsertSeq < d->seq,
                    "IQ insert out of age order");
+        lastInsertSeq = d->seq;
+        ++admitCount;
         if (order.size() >= orderLimit)
             compact();
         d->iqOrderIdx = static_cast<int>(order.size());
@@ -154,7 +164,8 @@ class WindowLanes
     bool
     ready(int slot) const
     {
-        return readyWords[slot >> 6] >> (slot & 63) & 1;
+        const DynInst *d = inst[slot];
+        return d != nullptr && readyAt(d->iqOrderIdx);
     }
 
     /** Pending distinct unready sources (tests/diagnostics). */
@@ -176,8 +187,8 @@ class WindowLanes
         msp_assert(inst[slot] == d, "IQ slot mismatch");
         msp_assert(d->iqOrderIdx >= 0 && order[d->iqOrderIdx] == slot,
                    "IQ age-list mismatch");
-        if (ready(slot)) {
-            readyWords[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+        if (readyAt(d->iqOrderIdx)) {
+            clearReadyAt(d->iqOrderIdx);
             --readyCount;
         }
         inst[slot] = nullptr;
@@ -195,22 +206,116 @@ class WindowLanes
     }
 
     /**
-     * Age-ordered slot list for the select scan: oldest first, holes
-     * are -1. Bounded at twice the capacity by lazy compaction.
+     * Age-ordered slot list: oldest first, holes are -1. Bounded at
+     * twice the capacity by lazy compaction. Select walks it through
+     * readyOldestFirst(); the whole list is for tests and diagnostics.
      */
     const std::vector<std::int32_t> &ageOrder() const { return order; }
 
+    /**
+     * Select iterator: yields the ready slots oldest first, walking the
+     * set bits of the position bitmap with countr_zero. It holds a copy
+     * of the current word and reads later words when it reaches them,
+     * so removing the entry just yielded is safe; inserting, waking or
+     * compacting while it is live is not (see admissions()).
+     */
+    class ReadyIter
+    {
+      public:
+        explicit ReadyIter(const WindowLanes &q)
+            : lanes(&q), endWord((q.order.size() + 63) / 64)
+        {
+            load();
+        }
+
+        int
+        operator*() const
+        {
+            return lanes->order[word * 64 + std::countr_zero(bits)];
+        }
+
+        ReadyIter &
+        operator++()
+        {
+            bits &= bits - 1;
+            if (bits == 0) {
+                ++word;
+                load();
+            }
+            return *this;
+        }
+
+        bool
+        operator==(std::default_sentinel_t) const
+        {
+            return word >= endWord;
+        }
+
+      private:
+        void
+        load()
+        {
+            for (; word < endWord; ++word) {
+                bits = lanes->readyPos[word];
+                if (bits != 0)
+                    return;
+            }
+        }
+
+        const WindowLanes *lanes;
+        std::size_t word = 0;
+        std::size_t endWord;
+        std::uint64_t bits = 0;
+    };
+
+    /** Range over the ready slots, oldest first (see ReadyIter). */
+    struct ReadySlots
+    {
+        const WindowLanes &lanes;
+        ReadyIter begin() const { return ReadyIter(lanes); }
+        std::default_sentinel_t end() const { return {}; }
+    };
+
+    ReadySlots readyOldestFirst() const { return ReadySlots{*this}; }
+
+    /**
+     * Inserts plus wakeups so far. A select walk that sees it move
+     * walked a bitmap that changed under it.
+     */
+    std::uint64_t admissions() const { return admitCount; }
+
   private:
+    bool
+    readyAt(std::size_t pos) const
+    {
+        return readyPos[pos >> 6] >> (pos & 63) & 1;
+    }
+
+    void
+    setReadyAt(std::size_t pos)
+    {
+        readyPos[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    }
+
+    void
+    clearReadyAt(std::size_t pos)
+    {
+        readyPos[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    }
+
     void
     markReady(int slot)
     {
-        std::uint64_t &w = readyWords[slot >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
-        msp_assert(!(w & bit), "slot %d marked ready twice", slot);
-        w |= bit;
+        const int pos = inst[slot]->iqOrderIdx;
+        msp_assert(!readyAt(pos), "slot %d marked ready twice", slot);
+        setReadyAt(pos);
         ++readyCount;
+        ++admitCount;
     }
 
+    /** Squeeze the holes out of the age list; ready bits move with
+     *  their entries. Each entry only moves down, to a position
+     *  already vacated, so the bits can move in place. */
     void
     compact()
     {
@@ -218,6 +323,10 @@ class WindowLanes
         for (std::size_t i = 0; i < order.size(); ++i) {
             if (order[i] < 0)
                 continue;
+            if (out != i && readyAt(i)) {
+                clearReadyAt(i);
+                setReadyAt(out);
+            }
             order[out] = order[i];
             inst[order[out]]->iqOrderIdx = static_cast<int>(out);
             ++out;
@@ -236,14 +345,18 @@ class WindowLanes
     std::vector<std::uint8_t> fuLane;
     std::vector<std::uint8_t> pendingLane;
     std::vector<std::uint32_t> genLane;
-    std::vector<std::uint64_t> readyWords;
     unsigned readyCount = 0;
     unsigned liveCount = 0;
+    std::uint64_t admitCount = 0;
+    SeqNum lastInsertSeq = invalidSeqNum;
 
     std::vector<unsigned> freeSlots;
 
     /** Live slots oldest-first, with -1 holes where entries left. */
     std::vector<std::int32_t> order;
+
+    /** Ready bits by position in order (bit i <-> order[i]). */
+    std::vector<std::uint64_t> readyPos;
 };
 
 /**

@@ -2,8 +2,9 @@
  * @file
  * Tests for driver/bench.{hh,cc}: the BENCH_throughput.json schema
  * must round-trip exactly, repeated measurements must see a
- * deterministic simulator, and the regression gate must fire on real
- * throughput drops only.
+ * deterministic simulator, the regression gate must fire on real
+ * throughput drops only, and the count gate on any simulated-count
+ * drift whatever the host.
  */
 
 #include <gtest/gtest.h>
@@ -140,6 +141,49 @@ TEST(BenchGate, FlagsOnlyRegressionsPastTheThreshold)
     const auto still = benchRegressions(base, cur, 15.0);
     ASSERT_EQ(still.size(), 1u);
     EXPECT_NE(still[0].find("16sp"), std::string::npos);
+}
+
+TEST(BenchReport, CountGateFiresOnAnyCountDriftWhateverTheHost)
+{
+    const BenchReport base = sampleReport();
+    BenchReport cur = sampleReport();
+    // The count gate ignores the host and the wall times entirely.
+    cur.host = "aarch64/Other CPU/2t";
+    for (BenchConfigResult &c : cur.configs)
+        for (double &w : c.wallSec)
+            w *= 3.0;
+
+    const auto clean = benchCountDrift(base, cur);
+    ASSERT_TRUE(clean.has_value());
+    EXPECT_TRUE(clean->empty());
+
+    // One cycle of drift on one config fails, naming it.
+    cur.configs[1].cycles += 1;
+    const auto drift = benchCountDrift(base, cur);
+    ASSERT_TRUE(drift.has_value());
+    ASSERT_EQ(drift->size(), 1u);
+    EXPECT_NE((*drift)[0].find("16sp"), std::string::npos);
+
+    // A config absent from the baseline is not drift.
+    BenchConfigResult fresh;
+    fresh.config = "32sp";
+    fresh.committed = 1;
+    cur.configs.push_back(fresh);
+    EXPECT_EQ(benchCountDrift(base, cur)->size(), 1u);
+
+    // Different runs are not comparable: the gate skips.
+    BenchReport other = cur;
+    other.instrs = 100000;
+    EXPECT_FALSE(benchCountDrift(base, other).has_value());
+    other = cur;
+    other.seed = 7;
+    EXPECT_FALSE(benchCountDrift(base, other).has_value());
+    other = cur;
+    other.predictor = "tage";
+    EXPECT_FALSE(benchCountDrift(base, other).has_value());
+    other = cur;
+    other.workloads = {"gzip"};
+    EXPECT_FALSE(benchCountDrift(base, other).has_value());
 }
 
 TEST(BenchRun, RepetitionsAreDeterministic)

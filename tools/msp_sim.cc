@@ -340,12 +340,6 @@ runBench(const CliOptions &o)
         driver::writeFile(o.jsonPath, benchReportToJson(report));
 
     if (!o.baselinePath.empty()) {
-        if (sanitized) {
-            std::fprintf(stderr,
-                         "msp_sim: sanitized build — regression gate "
-                         "skipped\n");
-            return 0;
-        }
         std::string doc;
         if (!driver::tryReadFile(o.baselinePath, doc)) {
             std::fprintf(stderr, "msp_sim: cannot read baseline %s\n",
@@ -353,6 +347,30 @@ runBench(const CliOptions &o)
             return 2;
         }
         const BenchReport base = benchReportFromJson(doc);
+        // Simulated counts are host-independent: gate them everywhere,
+        // sanitized builds included.
+        const auto drift = benchCountDrift(base, report);
+        if (!drift) {
+            std::fprintf(stderr,
+                         "msp_sim: warning: baseline measured different "
+                         "runs (instrs/seed/predictor/workloads) — count "
+                         "gate skipped\n");
+        } else {
+            for (const std::string &d : *drift)
+                std::fprintf(stderr, "msp_sim: simulated count drift: "
+                             "%s\n", d.c_str());
+            if (!drift->empty())
+                return 1;
+            if (!o.quiet)
+                std::printf("Count gate passed (committed/cycles equal "
+                            "the baseline's).\n");
+        }
+        if (sanitized) {
+            std::fprintf(stderr,
+                         "msp_sim: sanitized build — regression gate "
+                         "skipped\n");
+            return 0;
+        }
         if (base.host != report.host) {
             // MInstr/s on a different machine is not a regression
             // signal; gating on it would fail every contributor whose
