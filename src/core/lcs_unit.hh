@@ -12,6 +12,7 @@
 #ifndef MSPLIB_CORE_LCS_UNIT_HH
 #define MSPLIB_CORE_LCS_UNIT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 
@@ -47,6 +48,19 @@ class LcsUnit
 
     /** Effective (pipeline-output) LCS. */
     std::uint32_t effective() const { return eff; }
+
+    /**
+     * Would advance() with the effective value change nothing? True
+     * once the delay line is full and every latched minimum equals the
+     * output.
+     */
+    bool
+    settled() const
+    {
+        return pipe.size() == lat &&
+               std::all_of(pipe.begin(), pipe.end(),
+                           [this](std::uint32_t v) { return v == eff; });
+    }
 
     /**
      * Flush the pipeline on a recovery; stale in-flight minima may

@@ -58,6 +58,17 @@ class MspCore : public CoreBase
     void afterSquash(const DynInst &trigger, bool exception) override;
     void warmArchState(const ArchState &warm) override;
 
+    /**
+     * Commit repeats itself once no bank's LCS contribution is stale
+     * and the LCS delay line holds only its output: the next raw
+     * minimum then equals the effective LCS, so advancing is a no-op.
+     */
+    bool
+    commitSettled() const override
+    {
+        return bankDirtyWord == 0 && lcs.settled();
+    }
+
   private:
     static constexpr int slotShift = 20;
 

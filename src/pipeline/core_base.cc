@@ -33,11 +33,12 @@ CoreBase::CoreBase(const CoreParams &p, const Program &program,
 // Fetch
 // ---------------------------------------------------------------------------
 
-void
+bool
 CoreBase::doFetch()
 {
     if (fetchStopped || now < fetchStallUntil)
-        return;
+        return false;
+    const SeqNum firstSeq = nextSeq;
 
     // Predictor state only changes when a control instruction is
     // predicted, so the straight-line snapshot (global history + RAS
@@ -61,7 +62,7 @@ CoreBase::doFetch()
             if (lat > memSys.params().l1iHit) {
                 // Miss: deliver this instruction when the line returns.
                 fetchStallUntil = now + lat;
-                break;
+                return true;
             }
         }
 
@@ -124,24 +125,27 @@ CoreBase::doFetch()
         if (takenControl)
             break;
     }
+    return nextSeq != firstSeq;
 }
 
 // ---------------------------------------------------------------------------
 // Rename
 // ---------------------------------------------------------------------------
 
-void
+bool
 CoreBase::doRename()
 {
     if (hookFlags & kHookRenameCycleBegin)
         renameCycleBegin();
 
+    renameStalled = false;
     unsigned renamed = 0;
     bool stalled = false;
     while (renamed < params.renameWidth && !fetchQ.empty()) {
         DynInst &f = *fetchQ.front();
         if (f.renameReadyAt > now)
-            return;   // head not yet through the front end: not a stall
+            return renamed > 0;   // head not yet through the front end:
+                                  // not a stall
 
         stallReason = StallReason::None;
         stallBank = -1;
@@ -203,26 +207,34 @@ CoreBase::doRename()
     if (renamed > 0)
         prevStall = StallReason::None;
     if (stalled && renamed == 0) {
-        ++renameStallCycles;
-        ++pathEvents.stallEdge[static_cast<unsigned>(prevStall) *
-                                   PathEvents::stallKinds +
-                               static_cast<unsigned>(stallReason)];
-        prevStall = stallReason;
-        switch (stallReason) {
-          case StallReason::Registers:
-            ++regStallCycles;
-            if (stallBank >= 0 && stallBank < numLogRegs)
-                ++bankStallCycles[stallBank];
-            break;
-          case StallReason::Iq:
-            ++iqStallCycles;
-            break;
-          case StallReason::StoreQueue:
-            ++sqStallCycles;
-            break;
-          default:
-            break;
-        }
+        renameStalled = true;
+        countRenameStall(1);
+    }
+    return renamed > 0;
+}
+
+void
+CoreBase::countRenameStall(std::uint64_t cycles)
+{
+    renameStallCycles += cycles;
+    pathEvents.stallEdge[static_cast<unsigned>(prevStall) *
+                             PathEvents::stallKinds +
+                         static_cast<unsigned>(stallReason)] += cycles;
+    prevStall = stallReason;
+    switch (stallReason) {
+      case StallReason::Registers:
+        regStallCycles += cycles;
+        if (stallBank >= 0 && stallBank < numLogRegs)
+            bankStallCycles[stallBank] += cycles;
+        break;
+      case StallReason::Iq:
+        iqStallCycles += cycles;
+        break;
+      case StallReason::StoreQueue:
+        sqStallCycles += cycles;
+        break;
+      default:
+        break;
     }
 }
 
@@ -260,16 +272,17 @@ CoreBase::executeInst(DynInst &d)
     }
 }
 
-void
+bool
 CoreBase::doIssueStage()
 {
     // Select walks the IQ's ready bitmap, which is indexed by age-list
     // position, so it visits only ready entries, oldest first. The bits
     // are maintained event-driven (initWakeup at rename, wakeSrc at
     // writeback); most stalled cycles exit on the anyReady() test
-    // without touching the bitmap at all.
+    // without touching the bitmap at all. A ready entry makes the
+    // cycle active even if it fails to issue: its attempt is counted.
     if (!iq.anyReady())
-        return;
+        return false;
     // Nothing inserts, wakes or compacts during issue (rename runs
     // after it, writeback before): the walk only removes the entry it
     // just yielded, which is what keeps the iterator valid.
@@ -335,13 +348,14 @@ CoreBase::doIssueStage()
     }
     msp_assert(iq.admissions() == admitted,
                "IQ insert or wakeup during select");
+    return true;
 }
 
 // ---------------------------------------------------------------------------
 // Writeback / branch resolution
 // ---------------------------------------------------------------------------
 
-void
+bool
 CoreBase::doWritebackStage()
 {
     // Gather completions for this cycle, oldest first. Sequence numbers
@@ -354,6 +368,8 @@ CoreBase::doWritebackStage()
         if (!d->squashed && !d->executed && d->execDoneAt <= now)
             done.emplace_back(d->seq, d);
     }
+    if (done.empty())
+        return false;
     std::sort(done.begin(), done.end());
 
     SeqNum liveBound = invalidSeqNum;
@@ -392,6 +408,7 @@ CoreBase::doWritebackStage()
     std::erase_if(inExec, [](const DynInst *d) {
         return d->executed || d->squashed;
     });
+    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -627,18 +644,49 @@ CoreBase::dumpDeadlock() const
     }
 }
 
-void
+bool
 CoreBase::stepCycle()
 {
+    // A trap's exception squash commits the trap, so the commit count
+    // also covers recovery at commit; branch recovery is writeback.
+    const std::uint64_t committedBefore = committedCount;
     fuPool.reset();
     if (hookFlags & kHookCycleBegin)
         cycleBegin();
     doCommit();
-    doWritebackStage();
-    doIssueStage();
-    doRename();
-    doFetch();
+    bool active = committedCount != committedBefore;
+    active |= doWritebackStage();
+    active |= doIssueStage();
+    active |= doRename();
+    active |= doFetch();
     ++now;
+    return !active && commitSettled();
+}
+
+void
+CoreBase::skipQuietCycles(Cycle maxCycles)
+{
+    // Every stage stood still last cycle, so each waits either on
+    // another stage (which stands still too) or on `now` reaching a
+    // threshold. Each such threshold is past the cycle just run, so it
+    // is >= now; one equal to `now` leaves nothing to skip.
+    Cycle wake = std::min(maxCycles, lastCommitCycle + deadlockCycles + 1);
+    for (const DynInst *d : inExec)
+        wake = std::min(wake, d->execDoneAt);
+    // Fetch waits on time only if it is neither stopped nor full.
+    if (!fetchStopped && fetchQ.size() < fetchQCap)
+        wake = std::min(wake, fetchStallUntil);
+    // Rename waits on time only while the head is in the front end; a
+    // head already past it is blocked on a resource.
+    if (!fetchQ.empty() && fetchQ.front()->renameReadyAt >= now)
+        wake = std::min(wake, fetchQ.front()->renameReadyAt);
+    if (wake <= now)
+        return;
+    const Cycle k = wake - now;
+    if (renameStalled)
+        countRenameStall(k);   // same reason each cycle: the diagonal
+    skipped += k;
+    now = wake;
 }
 
 void
@@ -681,11 +729,14 @@ CoreBase::run(std::uint64_t maxCommits, std::uint64_t maxCycles)
 {
     if (params.warmupInstrs != 0 && !warmupApplied)
         applyWarmup();
-    lastCommitCycle = 0;
+    // Progress is measured from this call's start: a resumed run may
+    // begin more than deadlockCycles past the last commit.
+    lastCommitCycle = now;
     while (!haltCommitted && committedCount < maxCommits &&
            now < maxCycles) {
-        stepCycle();
-        if (now - lastCommitCycle > 1000000) {
+        if (stepCycle())
+            skipQuietCycles(maxCycles);
+        if (now - lastCommitCycle > deadlockCycles) {
             dumpDeadlock();
             msp_panic("no commit progress for 1M cycles (cycle %llu, "
                       "committed %llu, window %zu, fetchQ %zu)",

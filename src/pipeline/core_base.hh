@@ -101,6 +101,8 @@ struct PathEvents
 
     /** MSP: LCS recomputations that found at least one dirty bank. */
     std::uint64_t lcsRecompute = 0;
+
+    bool operator==(const PathEvents &) const = default;
 };
 
 /** Shared out-of-order core skeleton. */
@@ -148,6 +150,13 @@ class CoreBase
 
     /** Path-event counters accumulated so far (coverage harvesting). */
     const PathEvents &events() const { return pathEvents; }
+
+    /**
+     * Cycles run() jumped over instead of stepping (see stepCycle()).
+     * Observation only: no report, PathEvents field or coverage bitmap
+     * reads it.
+     */
+    std::uint64_t skippedCycles() const { return skipped; }
 
   protected:
     // ---- per-core policy hooks ------------------------------------------
@@ -255,6 +264,14 @@ class CoreBase
     /** Diagnostic dump printed before a no-progress panic. */
     virtual void dumpDeadlock() const;
 
+    /**
+     * Would the commit stage repeat itself exactly if nothing else
+     * moved? Part of the quiet-cycle test (see stepCycle()); a core
+     * whose commit logic evolves on its own over time (the MSP LCS
+     * delay line) answers false until it has settled.
+     */
+    virtual bool commitSettled() const { return true; }
+
     // ---- shared machinery (used by subclasses) ---------------------------
 
     /**
@@ -291,11 +308,33 @@ class CoreBase
 
     // ---- pipeline stages --------------------------------------------------
 
-    void stepCycle();
-    void doFetch();
-    void doRename();
-    void doIssueStage();
-    void doWritebackStage();
+    /**
+     * Run one cycle. Returns true when the cycle was quiet: nothing
+     * committed, completed, issued, renamed, fetched or recovered, no
+     * ready instruction waited in the IQ, and commitSettled() holds.
+     * A quiet cycle leaves the machine at a fixed point: every later
+     * cycle repeats it exactly until `now` reaches a timed threshold.
+     * run() therefore jumps straight to the next one
+     * (skipQuietCycles()); the skip is exact, not an approximation.
+     *
+     * Quiet-cycle contract for anything added to the pipeline:
+     *  - New timed state, a threshold a stage waits on until `now`
+     *    reaches it (like execDoneAt, fetchStallUntil, renameReadyAt),
+     *    must join the wake set in skipQuietCycles(); otherwise a skip
+     *    runs past it.
+     *  - A new side effect of a blocked stage that recurs every cycle
+     *    (a counter bump, a probe) must either be replicated for the
+     *    skipped cycles in skipQuietCycles(), as the rename-stall
+     *    counters are, or make the cycle active, as a ready IQ entry
+     *    that fails to issue does.
+     */
+    bool stepCycle();
+
+    // Each stage returns true when it acted this cycle.
+    bool doFetch();
+    bool doRename();
+    bool doIssueStage();
+    bool doWritebackStage();
 
     /** Execute @p d's semantics using its captured source values. */
     void executeInst(DynInst &d);
@@ -374,6 +413,24 @@ class CoreBase
      */
     void applyWarmup();
     bool warmupApplied = false;
+
+    /** run() panics after this many cycles without a commit. */
+    static constexpr Cycle deadlockCycles = 1000000;
+
+    /**
+     * After a quiet cycle: set `now` to the next timed event (capped by
+     * @p maxCycles and the deadlock panic's cycle) and account the
+     * skipped cycles' rename stalls as stepping would have.
+     */
+    void skipQuietCycles(Cycle maxCycles);
+
+    /** Count @p cycles fully stalled rename cycles for stallReason. */
+    void countRenameStall(std::uint64_t cycles);
+
+    /** The last doRename() stalled without renaming anything. */
+    bool renameStalled = false;
+
+    std::uint64_t skipped = 0;
 
     std::size_t lastSqScanned = 0;
     SeqNum lastSquashBoundary = invalidSeqNum;

@@ -147,6 +147,8 @@ struct RunResult
         return branches == 0 ? 0.0
                              : static_cast<double>(mispredicts) / branches;
     }
+
+    bool operator==(const RunResult &) const = default;
 };
 
 } // namespace msp
