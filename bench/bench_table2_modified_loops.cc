@@ -12,8 +12,9 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
 #include "common/table.hh"
+#include "driver/campaign.hh"
+#include "sim/machine.hh"
 #include "sim/presets.hh"
 #include "workload/kernels.hh"
 
@@ -21,9 +22,10 @@ int
 main()
 {
     using namespace msp;
+    const std::uint64_t budget = driver::defaultInstBudget;
     std::printf("Reproduction of Table II (modified kernels, TAGE). "
                 "Budget: %llu insts/run.\n\n",
-                static_cast<unsigned long long>(bench::instBudget()));
+                static_cast<unsigned long long>(budget));
 
     const char *benchKeys[] = {"bzip2", "twolf", "swim", "mgrid",
                                "equake"};
@@ -50,8 +52,8 @@ main()
                 modified ? "modified" : "original",
             };
             for (const auto &cfg : cfgs) {
-                RunResult r = bench::runOne(cfg, prog);
-                row.push_back(Table::num(r.ipc(), 2));
+                Machine m(cfg, prog);
+                row.push_back(Table::num(m.run(budget).ipc(), 2));
             }
             t.row(row);
             std::fprintf(stderr, "  [%s %s done]\n", benchKeys[k],

@@ -14,7 +14,9 @@ CprCore::CprCore(const CoreParams &p, const Program &program,
       reExecWindowStat(statGroup.add("cpr.squashedCorrectPath",
                                      "correct-path insts squashed"))
 {
-    msp_assert(p.numCheckpoints >= 1, "CPR needs at least one checkpoint");
+    // doCommit retires the oldest checkpoint only once a younger one
+    // bounds it, so a single checkpoint could never commit.
+    msp_assert(p.numCheckpoints >= 2, "CPR needs at least two checkpoints");
     const unsigned total = p.numIntPhys + p.numFpPhys;
     regVal.assign(total, 0);
     regReady.assign(total, 0);

@@ -14,7 +14,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "sim/presets.hh"
-#include "workload/spec.hh"
+#include "workload/registry.hh"
 
 namespace msp {
 namespace driver {
@@ -159,7 +159,7 @@ runThroughputBench(const BenchOptions &o, const BenchProgressFn &progress)
         configs.push_back(presetByName(n, o.predictor));
     std::vector<Program> programs;
     for (const std::string &w : workloads)
-        programs.push_back(spec::build(w, o.seed));
+        programs.push_back(workload::build(w, o.seed));
 
     BenchReport r;
     r.host = hostFingerprint();

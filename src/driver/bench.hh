@@ -46,7 +46,10 @@ struct BenchOptions
 {
     /** Preset names; empty = the Table I ladder with both references. */
     std::vector<std::string> configNames;
-    /** Workload names; empty = gzip,gcc,swim,mcf (two int, two fp). */
+    /**
+     * Workload-registry names (workload/registry.hh); empty =
+     * gzip,gcc,swim,mcf (two int, two fp).
+     */
     std::vector<std::string> workloads;
     PredictorKind predictor = PredictorKind::Gshare;
     std::uint64_t instrs = 200000;  ///< committed budget per run
@@ -110,8 +113,10 @@ using BenchProgressFn = std::function<void(
  * Run the measurement: sequential, on the calling thread. Workloads
  * are synthesised once and shared; each (config, repetition) times the
  * full workload set back-to-back. @throws SpecError on an unknown
- * preset name, msp_fatal if committed/cycle counts differ between
- * repetitions (a non-deterministic simulator has no valid throughput).
+ * preset name, workload::WorkloadError / trace::TraceError on an
+ * unknown or unreadable workload; msp_fatal if committed/cycle counts
+ * differ between repetitions (a non-deterministic simulator has no
+ * valid throughput).
  */
 BenchReport runThroughputBench(const BenchOptions &o,
                                const BenchProgressFn &progress = nullptr);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -17,19 +16,6 @@
 
 namespace msp {
 namespace driver {
-
-std::uint64_t
-defaultInstBudget()
-{
-    if (const char *env = std::getenv("MSP_BENCH_INSTRS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    // Keeps the full "for b in bench/*" sweep under ~10 minutes.
-    // Raise (e.g. MSP_BENCH_INSTRS=300000) for tighter numbers.
-    return 60000;
-}
 
 std::uint64_t
 jobSeed(std::uint64_t base, std::uint64_t index)
@@ -338,7 +324,7 @@ SimCampaign::run(const ProgressFn &progress)
         } else {
             Machine m(j.config, *j.program);
             RunResult r =
-                m.run(j.maxInsts ? j.maxInsts : defaultInstBudget(),
+                m.run(j.maxInsts ? j.maxInsts : defaultInstBudget,
                       j.maxCycles);
             out[i] = JobResult{gidx(i), j, std::move(r)};
             fresh = true;

@@ -7,7 +7,9 @@
  * jobs across a pool of worker threads; every job owns its Machine,
  * its Program copy and its RNG state, so results are bit-identical
  * regardless of the thread count or scheduling order (the property
- * tests/test_campaign.cc asserts).
+ * tests/test_campaign.cc asserts). Nothing is read from the
+ * environment: a job's budget is its maxInsts or the constant
+ * defaultInstBudget.
  */
 
 #ifndef MSPLIB_DRIVER_CAMPAIGN_HH
@@ -74,10 +76,10 @@ using ProgressFn =
 
 /**
  * Per-run committed-instruction budget used when a job leaves
- * maxInsts at 0. Defaults to 60000; override with the
- * MSP_BENCH_INSTRS environment variable to trade time for fidelity.
+ * maxInsts at 0. `msp_sim --instrs N` sets maxInsts to trade time for
+ * fidelity.
  */
-std::uint64_t defaultInstBudget();
+constexpr std::uint64_t defaultInstBudget = 60000;
 
 /**
  * Deterministic per-job seed derivation (splitmix64 of base and

@@ -60,7 +60,7 @@ fieldsOf(const JobResult &jr, bool withMachine)
         str("predictor", predictorName(jr.job.config.predictor)),
         u64("seed", jr.job.seed),
         u64("max_insts",
-            jr.job.maxInsts ? jr.job.maxInsts : defaultInstBudget()),
+            jr.job.maxInsts ? jr.job.maxInsts : defaultInstBudget),
         u64("cycles", r.cycles),
         u64("committed", r.committed),
         f64("ipc", r.ipc()),

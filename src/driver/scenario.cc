@@ -497,7 +497,7 @@ runScenario(const std::string &name, unsigned threads,
     if (!s)
         msp_fatal("unknown scenario '%s' (try msp_sim --list)",
                   name.c_str());
-    const std::uint64_t budget = maxInsts ? maxInsts : defaultInstBudget();
+    const std::uint64_t budget = maxInsts ? maxInsts : defaultInstBudget;
 
     SimCampaign campaign(threads);
     for (auto &j : s->build(budget))

@@ -7,8 +7,8 @@
  * predictor × parameter matrix) with a report function that formats
  * the finished JobResults into the tables and headline ratios the
  * paper quotes. Adding a sweep is one entry in scenarios() — not a
- * new binary; the bench_fig and bench_ablation executables and the
- * msp_sim CLI are thin wrappers over runScenario().
+ * new binary; `msp_sim <name>` is the one entry point, a thin wrapper
+ * over runScenario().
  */
 
 #ifndef MSPLIB_DRIVER_SCENARIO_HH
@@ -55,7 +55,7 @@ const Scenario *findScenario(const std::string &name);
  *
  * @param name     Scenario key (see scenarios()).
  * @param threads  Worker threads (0 = hardware concurrency).
- * @param maxInsts Per-run budget (0 = defaultInstBudget()).
+ * @param maxInsts Per-run budget (0 = defaultInstBudget).
  * @param verbose  Print the header and per-job progress.
  * @return The raw results (for JSON/CSV serialisation).
  */

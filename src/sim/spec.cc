@@ -235,9 +235,11 @@ buildRegistry()
                          "load/store units"));
 
     // -- MSP -----------------------------------------------------------------
-    r.push_back(u32Param("msp.subprocessors", &CoreParams::regsPerBank, 1,
+    r.push_back(u32Param("msp.subprocessors", &CoreParams::regsPerBank, 2,
                          1u << 20,
-                         "state processors per logical register (n-SP)"));
+                         "state processors per logical register (n-SP; "
+                         ">= 2: a bank keeps its committed state and "
+                         "needs one more to rename into)"));
     r.push_back(boolParam("msp.infinite_banks", &CoreParams::infiniteBanks,
                           "unbounded banks (ideal MSP)"));
     r.push_back(u32Param("lcs.latency", &CoreParams::lcsLatency, 0, 1024,
@@ -252,7 +254,9 @@ buildRegistry()
 
     // -- CPR -----------------------------------------------------------------
     r.push_back(u32Param("cpr.checkpoints", &CoreParams::numCheckpoints,
-                         1, 4096, "checkpoint count"));
+                         2, 4096,
+                         "checkpoint count (>= 2: the oldest checkpoint "
+                         "commits only once a younger one exists)"));
     r.push_back(u32Param("cpr.interval", &CoreParams::ckptInterval, 1,
                          1u << 20,
                          "force a checkpoint after this many insts"));

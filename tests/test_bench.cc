@@ -15,6 +15,7 @@
 #include "driver/bench.hh"
 #include "sim/machine.hh"
 #include "sim/presets.hh"
+#include "workload/registry.hh"
 #include "workload/spec.hh"
 
 namespace msp {
@@ -210,6 +211,28 @@ TEST(BenchRun, RepetitionsAreDeterministic)
         EXPECT_EQ(r2.configs[i].committed, r.configs[i].committed);
         EXPECT_EQ(r2.configs[i].cycles, r.configs[i].cycles);
     }
+}
+
+TEST(BenchRun, WorkloadsResolveThroughTheWorkloadRegistry)
+{
+    // The CLI accepts any workload-registry name for bench mode, so
+    // the bench must build through that registry too: a micro kernel
+    // such as ptrchase is not a SPEC synthetic.
+    BenchOptions o;
+    o.configNames = {"baseline"};
+    o.workloads = {"ptrchase"};
+    o.instrs = 500;
+    o.reps = 1;
+    const BenchReport r = runThroughputBench(o);
+    ASSERT_EQ(r.configs.size(), 1u);
+    Machine m(baselineConfig(PredictorKind::Gshare),
+              workload::build("ptrchase", 1));
+    const RunResult ref = m.run(500);
+    EXPECT_EQ(r.configs[0].committed, ref.committed);
+    EXPECT_EQ(r.configs[0].cycles, ref.cycles);
+
+    o.workloads = {"no-such-workload"};
+    EXPECT_THROW(runThroughputBench(o), workload::WorkloadError);
 }
 
 TEST(BenchRun, HostFingerprintIsStableAndDescriptive)

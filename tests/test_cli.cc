@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/cli.hh"
+#include "driver/scenario.hh"
 
 namespace msp {
 namespace {
@@ -152,6 +153,23 @@ TEST(ParseCliArgs, ScenarioModeWithOptions)
     EXPECT_EQ(o.instrs, 5000u);
     EXPECT_EQ(o.jsonPath, "out.json");
     EXPECT_TRUE(o.quiet);
+}
+
+TEST(ParseCliArgs, EveryScenarioIsAnMspSimMode)
+{
+    // `msp_sim <name>` is the only way to run a registered sweep, so
+    // every scenario must parse as a mode and build a non-empty job
+    // list.
+    ASSERT_FALSE(driver::scenarios().empty());
+    for (const driver::Scenario &s : driver::scenarios()) {
+        EXPECT_EQ(parseCliArgs({s.name}).mode, s.name);
+        const driver::Scenario *found = driver::findScenario(s.name);
+        ASSERT_NE(found, nullptr) << s.name;
+        const std::vector<driver::CampaignJob> jobs = found->build(400);
+        EXPECT_FALSE(jobs.empty()) << s.name;
+        for (const driver::CampaignJob &j : jobs)
+            EXPECT_EQ(j.maxInsts, 400u) << s.name;
+    }
 }
 
 TEST(ParseCliArgs, MatrixMode)

@@ -202,6 +202,52 @@ TEST(SpecFromJson, OutOfRangeValuesErrorByName)
                  SpecError);
 }
 
+/** Expect setting @p key to 1 to throw a SpecError naming @p key. */
+void
+expectOneRejected(const char *key)
+{
+    MachineConfig m;
+    try {
+        setParamFromString(m, key, "1");
+        FAIL() << key << "=1 accepted";
+    } catch (const SpecError &e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(specFromJson(std::string("{\"") + key + "\": 1}"),
+                 SpecError);
+}
+
+TEST(SpecFromJson, OneSubprocessorPerBankIsRejected)
+{
+    // A one-register SCT bank holds only its committed state and
+    // asserts at construction; the registry refuses it up front.
+    expectOneRejected("msp.subprocessors");
+    EXPECT_THROW(presetByName("1sp", PredictorKind::Gshare), SpecError);
+    EXPECT_THROW(presetByName("1sp-noarb", PredictorKind::Gshare),
+                 SpecError);
+
+    MachineConfig m = presetByName("16sp", PredictorKind::Gshare);
+    setParamFromString(m, "msp.subprocessors", "2");
+    EXPECT_EQ(m.core.regsPerBank, 2u);
+    EXPECT_EQ(presetByName("2sp", PredictorKind::Gshare).core.regsPerBank,
+              2u);
+}
+
+TEST(SpecFromJson, OneCprCheckpointIsRejected)
+{
+    // CPR commits the oldest checkpoint only once a younger one
+    // exists, so with one checkpoint nothing ever commits.
+    expectOneRejected("cpr.checkpoints");
+
+    MachineConfig m = presetByName("cpr", PredictorKind::Gshare);
+    setParamFromString(m, "cpr.checkpoints", "2");
+    EXPECT_EQ(m.core.numCheckpoints, 2u);
+    const MachineConfig j =
+        specFromJson("{\"base\": \"cpr\", \"cpr.checkpoints\": 2}");
+    EXPECT_EQ(j.core.numCheckpoints, 2u);
+}
+
 TEST(SpecFromJson, TypeMismatchesErrorByName)
 {
     // Number where a string (enum) is required, and vice versa.

@@ -22,6 +22,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,7 @@ printUsage(std::FILE *to)
         "  --threads N    worker threads (default: all hardware threads;\n"
         "                 1 = single-threaded reference run)\n"
         "  --instrs N     committed-instruction budget per run\n"
-        "                 (default: 60000, or MSP_BENCH_INSTRS;\n"
+        "                 (default: 60000;\n"
         "                 verify default: 1M as a safety bound)\n"
         "  --json FILE    write per-job results as JSON\n"
         "  --csv FILE     write per-job results as CSV (not verify)\n"
@@ -1056,6 +1057,107 @@ runVerify(const CliOptions &o)
     return divergences == 0 ? 0 : 1;
 }
 
+/** Dump one registry workload as a JSONL trace. */
+int
+runTrace(const CliOptions &o)
+{
+    const Program prog = workload::build(o.workloads.front(), o.seed);
+    const std::string doc = trace::toJsonl(prog);
+    // Round-trip guard: what is written must re-ingest as the exact
+    // same program, or the dump is not a usable trace.
+    if (trace::toJsonl(trace::fromJsonl(doc)) != doc) {
+        std::fprintf(stderr, "msp_sim: internal error: trace "
+                             "round-trip mismatch\n");
+        return 2;
+    }
+    if (o.jsonPath.empty()) {
+        std::fputs(doc.c_str(), stdout);
+    } else {
+        driver::writeFile(o.jsonPath, doc);
+        if (!o.quiet) {
+            std::printf("Wrote %s: %zu static instr(s), "
+                        "%zu mem word(s).\n",
+                        o.jsonPath.c_str(), prog.code.size(),
+                        prog.memWords);
+        }
+    }
+    return 0;
+}
+
+/**
+ * Run the parsed mode. User errors (unreadable or malformed input
+ * files, bad specs, unknown workloads) escape as exceptions; main()
+ * turns them into exit status 2.
+ */
+int
+runMode(const CliOptions &o)
+{
+    if (o.mode == "merge") {
+        std::vector<std::string> docs;
+        for (const std::string &p : o.mergeInputs) {
+            std::string doc;
+            if (!driver::tryReadFile(p, doc)) {
+                std::fprintf(stderr,
+                             "msp_sim: cannot read shard report %s\n",
+                             p.c_str());
+                return 2;
+            }
+            docs.push_back(std::move(doc));
+        }
+        const std::string merged = driver::mergeReports(docs);
+        if (o.jsonPath.empty())
+            std::fputs(merged.c_str(), stdout);
+        else
+            driver::writeFile(o.jsonPath, merged);
+        return 0;
+    }
+
+    // Campaign modes run long enough that ^C deserves better than a
+    // lost run: the first signal drains in-flight jobs, flushes the
+    // final checkpoint and writes a partial report (exit 3); the
+    // second force-quits.
+    std::signal(SIGINT, handleStopSignal);
+    std::signal(SIGTERM, handleStopSignal);
+
+    if (o.mode == "spec")
+        return runSpec(o);
+    if (o.mode == "bench")
+        return runBench(o);
+    if (o.mode == "trace")
+        return runTrace(o);
+    if (o.mode == "verify")
+        return runVerify(o);
+
+    const std::vector<JobResult> results =
+        o.mode == "matrix"
+            ? runMatrix(o)
+            : runScenario(o.mode, o.threads, o.instrs, !o.quiet);
+    if (!o.jsonPath.empty())
+        driver::writeFile(o.jsonPath, driver::toJson(results));
+    if (!o.csvPath.empty())
+        driver::writeFile(o.csvPath, driver::toCsv(results));
+    if (driver::campaignStopRequested()) {
+        std::size_t ran = 0;
+        for (const JobResult &jr : results)
+            ran += jr.ran ? 1 : 0;
+        std::fprintf(stderr,
+                     "msp_sim: interrupted — %zu of %zu job(s) done%s\n",
+                     ran, results.size(),
+                     o.checkpointPath.empty() ? ""
+                                              : "; resume with --resume");
+        return exitInterrupted;
+    }
+    return 0;
+}
+
+/** Report a user error (bad input, not a simulator bug): exit 2. */
+int
+userError(const std::exception &e)
+{
+    std::fprintf(stderr, "msp_sim: %s\n", e.what());
+    return 2;
+}
+
 } // namespace
 
 int
@@ -1079,172 +1181,27 @@ main(int argc, char **argv)
             std::printf("%-22s %s\n", s.name.c_str(), s.title.c_str());
         return 0;
     }
-    if (o.mode == "merge") {
-        try {
-            std::vector<std::string> docs;
-            for (const std::string &p : o.mergeInputs) {
-                std::string doc;
-                if (!driver::tryReadFile(p, doc)) {
-                    std::fprintf(stderr,
-                                 "msp_sim: cannot read shard report "
-                                 "%s\n", p.c_str());
-                    return 2;
-                }
-                docs.push_back(std::move(doc));
-            }
-            const std::string merged = driver::mergeReports(docs);
-            if (o.jsonPath.empty())
-                std::fputs(merged.c_str(), stdout);
-            else
-                driver::writeFile(o.jsonPath, merged);
-            return 0;
-        } catch (const CheckpointError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const json::JsonError &e) {
-            // A shard report with a garbled number must not fold into
-            // the merge as zeros.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-
-    // Campaign modes run long enough that ^C deserves better than a
-    // lost run: the first signal drains in-flight jobs, flushes the
-    // final checkpoint and writes a partial report (exit 3); the
-    // second force-quits.
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
-
-    if (o.mode == "spec") {
-        try {
-            return runSpec(o);
-        } catch (const CliError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-    if (o.mode == "bench") {
-        try {
-            return runBench(o);
-        } catch (const SpecError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const json::JsonError &e) {
-            // A corrupt baseline report must fail the gate run loudly,
-            // not silently pass it.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-    if (o.mode == "trace") {
-        try {
-            const Program prog =
-                workload::build(o.workloads.front(), o.seed);
-            const std::string doc = trace::toJsonl(prog);
-            // Round-trip guard: what is written must re-ingest as the
-            // exact same program, or the dump is not a usable trace.
-            if (trace::toJsonl(trace::fromJsonl(doc)) != doc) {
-                std::fprintf(stderr, "msp_sim: internal error: trace "
-                                     "round-trip mismatch\n");
-                return 2;
-            }
-            if (o.jsonPath.empty()) {
-                std::fputs(doc.c_str(), stdout);
-            } else {
-                driver::writeFile(o.jsonPath, doc);
-                if (!o.quiet) {
-                    std::printf("Wrote %s: %zu static instr(s), "
-                                "%zu mem word(s).\n",
-                                o.jsonPath.c_str(), prog.code.size(),
-                                prog.memWords);
-                }
-            }
-            return 0;
-        } catch (const workload::WorkloadError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const trace::TraceError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-    if (o.mode == "verify") {
-        try {
-            return runVerify(o);
-        } catch (const CliError &e) {
-            // Machine resolution (--machine file errors) happens at
-            // run time, past the grammar check above.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const CheckpointError &e) {
-            // A checkpoint that cannot be resumed (corrupt mid-file,
-            // or from a different campaign) must not silently rerun
-            // from scratch under a flag that promised to resume.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const SpecError &e) {
-            // Corrupt repro / checkpoint payload fields (stream_hash,
-            // embedded program or spec) fail loudly, never replay as
-            // zeros.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const workload::WorkloadError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const trace::TraceError &e) {
-            // A missing or malformed trace file behind a trace:FILE
-            // workload (or workload.trace grid axis).
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const json::JsonError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-
-    std::vector<JobResult> results;
     try {
-        if (o.mode == "matrix")
-            results = runMatrix(o);
-        else
-            results = runScenario(o.mode, o.threads, o.instrs, !o.quiet);
+        return runMode(o);
     } catch (const CliError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        // Machine resolution (--machine / --grid file errors) happens
+        // at run time, past the grammar check above.
+        return userError(e);
     } catch (const CheckpointError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        // A checkpoint or shard report that cannot be read back must
+        // not silently rerun from scratch or merge as zeros.
+        return userError(e);
     } catch (const SpecError &e) {
-        // A grid document that fails spec-level validation (bad axis
-        // value, unknown preset) past the CLI grammar check.
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        // Bad preset names, spec-level validation failures past the
+        // grammar check, corrupt repro payload fields.
+        return userError(e);
     } catch (const workload::WorkloadError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     } catch (const trace::TraceError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        // A missing or malformed trace file behind trace:FILE.
+        return userError(e);
     } catch (const json::JsonError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        // A garbled report, baseline or repro document.
+        return userError(e);
     }
-
-    if (!o.jsonPath.empty())
-        driver::writeFile(o.jsonPath, driver::toJson(results));
-    if (!o.csvPath.empty())
-        driver::writeFile(o.csvPath, driver::toCsv(results));
-    if (driver::campaignStopRequested()) {
-        std::size_t ran = 0;
-        for (const JobResult &jr : results)
-            ran += jr.ran ? 1 : 0;
-        std::fprintf(stderr,
-                     "msp_sim: interrupted — %zu of %zu job(s) done%s\n",
-                     ran, results.size(),
-                     o.checkpointPath.empty() ? ""
-                                              : "; resume with --resume");
-        return exitInterrupted;
-    }
-    return 0;
 }
