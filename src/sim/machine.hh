@@ -61,7 +61,9 @@ class Machine
   private:
     MachineConfig cfg;
     StatGroup statGroup;
-    Program prog;   ///< owned copy: the machine outlives caller scopes
+    /** The machine outlives caller scopes, so it keeps its own copy:
+     *  the code is copied, the initial data image is shared. */
+    Program prog;
     std::unique_ptr<CoreBase> coreImpl;
 };
 

@@ -121,9 +121,9 @@ presetByName(const std::string &name, PredictorKind predictor)
             const std::string count = name.substr(0, sp);
             std::uint64_t n = 0;
             const parse::Status st = parse::decimalU64(count, n);
-            // n >= 2, the msp.subprocessors minimum: a bank keeps its
-            // committed state and needs one more to rename into.
-            if (st != parse::Status::Ok || n < 2 || n > UINT_MAX) {
+            // n >= 3, the msp.subprocessors minimum (see its parameter
+            // doc in sim/spec.cc).
+            if (st != parse::Status::Ok || n < 3 || n > UINT_MAX) {
                 throw SpecError(csprintf(
                     "bad subprocessor count '%s' in preset '%s' (%s)",
                     count.c_str(), name.c_str(),

@@ -235,11 +235,13 @@ buildRegistry()
                          "load/store units"));
 
     // -- MSP -----------------------------------------------------------------
-    r.push_back(u32Param("msp.subprocessors", &CoreParams::regsPerBank, 2,
+    r.push_back(u32Param("msp.subprocessors", &CoreParams::regsPerBank, 3,
                          1u << 20,
                          "state processors per logical register (n-SP; "
-                         ">= 2: a bank keeps its committed state and "
-                         "needs one more to rename into)"));
+                         ">= 3: the youngest state commits only once a "
+                         "later write renames, and with two a bank "
+                         "holding its committed and open versions has no "
+                         "register left for that write)"));
     r.push_back(boolParam("msp.infinite_banks", &CoreParams::infiniteBanks,
                           "unbounded banks (ideal MSP)"));
     r.push_back(u32Param("lcs.latency", &CoreParams::lcsLatency, 0, 1024,

@@ -17,10 +17,20 @@ addDivergence(DiffOutcome &out, const char *kind, std::string detail)
         out.divergences.push_back(Divergence{kind, std::move(detail)});
 }
 
-/** First architectural difference between two states ("" when equal). */
+/** Detail text for memory word @p w, where @p a and @p b differ. */
 std::string
-firstStateDiff(const ArchState &a, const ArchState &b,
-               std::size_t memWords)
+wordDiff(const ArchState &a, const ArchState &b, std::size_t w)
+{
+    const Addr addr = static_cast<Addr>(w) * wordBytes;
+    return csprintf("word %zu: core %016llx functional %016llx", w,
+                    static_cast<unsigned long long>(a.load(addr)),
+                    static_cast<unsigned long long>(b.load(addr)));
+}
+
+} // anonymous namespace
+
+std::string
+firstStateDiff(const ArchState &a, const ArchState &b)
 {
     for (int reg = 0; reg < numIntRegs; ++reg) {
         if (a.readInt(reg) != b.readInt(reg)) {
@@ -38,18 +48,9 @@ firstStateDiff(const ArchState &a, const ArchState &b,
                                 b.readFp(reg)));
         }
     }
-    for (std::size_t w = 0; w < memWords; ++w) {
-        const Addr addr = static_cast<Addr>(w) * wordBytes;
-        if (a.load(addr) != b.load(addr)) {
-            return csprintf("word %zu: core %016llx functional %016llx", w,
-                            static_cast<unsigned long long>(a.load(addr)),
-                            static_cast<unsigned long long>(b.load(addr)));
-        }
-    }
-    return "";
+    const std::size_t w = a.firstMemDiff(b);
+    return w < a.memWords() ? wordDiff(a, b, w) : "";
 }
-
-} // anonymous namespace
 
 std::string
 sharedDivergenceKind(const DiffOutcome &orig, const DiffOutcome &cand)
@@ -157,7 +158,7 @@ diffRun(const Program &prog, const MachineConfig &config,
                             static_cast<unsigned long long>(
                                 snapRef.instCount() - warmSteps));
         } else {
-            diff = firstStateDiff(replay, snapRef.state(), prog.memWords);
+            diff = firstStateDiff(replay, snapRef.state());
             if (diff.empty() && coreHash.h != snapRefHash.h) {
                 diff = csprintf("commit streams diverge (hash %016llx "
                                 "!= functional %016llx) but the window's "
@@ -271,18 +272,11 @@ diffRun(const Program &prog, const MachineConfig &config,
                                        gold.readFp(reg))));
         }
     }
-    for (std::size_t w = 0; w < prog.memWords; ++w) {
-        const Addr a = static_cast<Addr>(w) * wordBytes;
-        if (replay.load(a) != gold.load(a)) {
-            addDivergence(out, "mem",
-                          csprintf("word %zu: core %016llx functional "
-                                   "%016llx", w,
-                                   static_cast<unsigned long long>(
-                                       replay.load(a)),
-                                   static_cast<unsigned long long>(
-                                       gold.load(a))));
-        }
-    }
+    // Only words that differ are visited; pages both sides still share
+    // are skipped unread.
+    for (std::size_t w = replay.firstMemDiff(gold); w < prog.memWords;
+         w = replay.firstMemDiff(gold, w + 1))
+        addDivergence(out, "mem", wordDiff(replay, gold, w));
     return out;
 }
 

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "functional/arch_state.hh"
 #include "isa/program.hh"
 #include "sim/machine.hh"
 #include "verify/coverage.hh"
@@ -196,6 +197,14 @@ DiffOutcome diffRun(const Program &prog, const MachineConfig &config,
  */
 std::string sharedDivergenceKind(const DiffOutcome &orig,
                                  const DiffOutcome &cand);
+
+/**
+ * First architectural difference between the core's replayed state
+ * @p a and the functional state @p b ("" when equal): registers first,
+ * then the lowest differing memory word. This is the detail text of a
+ * "snapshot" divergence.
+ */
+std::string firstStateDiff(const ArchState &a, const ArchState &b);
 
 } // namespace verify
 } // namespace msp

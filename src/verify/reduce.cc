@@ -333,7 +333,7 @@ reduceDivergence(const Program &prog, const MachineConfig &config,
         Program cand = cur;
         cand.memWords /= 2;   // stays a power of two
         if (cand.initData.size() > cand.memWords)
-            cand.initData.resize(cand.memWords);
+            cand.initData.edit().resize(cand.memWords);
         ++res.attempts;
         Candidate c;
         validateImage(c, std::move(cand));
@@ -358,15 +358,16 @@ reduceDivergence(const Program &prog, const MachineConfig &config,
             }
         }
         Program cand = cur;
+        std::vector<std::uint64_t> &init = cand.initData.edit();
         std::size_t zeroed = 0;
-        for (std::size_t w = 0; w < cand.initData.size(); ++w) {
-            if (!read[w] && cand.initData[w] != 0) {
-                cand.initData[w] = 0;
+        for (std::size_t w = 0; w < init.size(); ++w) {
+            if (!read[w] && init[w] != 0) {
+                init[w] = 0;
                 ++zeroed;
             }
         }
-        while (!cand.initData.empty() && cand.initData.back() == 0)
-            cand.initData.pop_back();
+        while (!init.empty() && init.back() == 0)
+            init.pop_back();
         if (zeroed != 0 || cand.initData.size() != cur.initData.size()) {
             ++res.attempts;
             Candidate c;

@@ -284,11 +284,12 @@ buildInterp(std::uint64_t seed)
     // Late fix-up: the dispatch table holds handler pcs, known only
     // after emission (the same idiom the synthetic SPEC builder uses).
     Program p = b.finish();
+    std::vector<std::uint64_t> &init = p.initData.edit();
     for (unsigned h = 0; h < numHandlers; ++h) {
         const std::size_t w = tableBase + h;
-        if (p.initData.size() <= w)
-            p.initData.resize(w + 1, 0);
-        p.initData[w] = b.labelAddr(handlers[h]);
+        if (init.size() <= w)
+            init.resize(w + 1, 0);
+        init[w] = b.labelAddr(handlers[h]);
     }
     return p;
 }

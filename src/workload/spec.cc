@@ -447,12 +447,13 @@ SynthBuilder::build()
     Program p = b.finish();
     if (s.indirect) {
         msp_assert(!handlerLabels.empty(), "indirect without handlers");
+        std::vector<std::uint64_t> &init = p.initData.edit();
         for (unsigned i = 0; i < numHandlers; ++i) {
             const Label l = handlerLabels[i % handlerLabels.size()];
             const std::size_t w = tableBase + i;
-            if (p.initData.size() <= w)
-                p.initData.resize(w + 1, 0);
-            p.initData[w] = b.labelAddr(l);
+            if (init.size() <= w)
+                init.resize(w + 1, 0);
+            init[w] = b.labelAddr(l);
         }
     }
     return p;

@@ -65,12 +65,15 @@ imageFromJson(const json::Value &obj)
                                        "two", prog.memWords));
     }
     // Geometry must fail here, not as a bad_alloc when ArchState
-    // materialises the image (2^24 words is already 128 MiB).
+    // builds its page table (2^24 words is already 128 MiB once every
+    // page is written).
     if (prog.memWords > (std::size_t{1} << 24)) {
         throw json::JsonError(csprintf("mem_words %zu is implausibly "
                                        "large", prog.memWords));
     }
     if (const json::Value *data = json::getArray(obj, "init_data")) {
+        std::vector<std::uint64_t> init;
+        init.reserve(data->items.size());
         for (const json::Value &w : data->items) {
             const std::string &hex = json::asStr(w, "init_data word");
             std::uint64_t word = 0;
@@ -78,11 +81,12 @@ imageFromJson(const json::Value &obj)
                 throw json::JsonError("non-hexadecimal init_data word '" +
                                       hex + "'");
             }
-            prog.initData.push_back(word);
+            init.push_back(word);
         }
+        prog.initData = std::move(init);
     }
-    // ArchState copies initData into a mem_words-sized image: excess
-    // words would write out of bounds.
+    // ArchState maps initData onto a mem_words-sized memory: excess
+    // words would have no page to live in.
     if (prog.initData.size() > prog.memWords) {
         throw json::JsonError(csprintf("init_data (%zu words) exceeds "
                                        "mem_words (%zu)",

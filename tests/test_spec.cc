@@ -15,8 +15,10 @@
 
 #include "common/random.hh"
 #include "driver/cli.hh"
+#include "sim/machine.hh"
 #include "sim/presets.hh"
 #include "sim/spec.hh"
+#include "workload/registry.hh"
 
 namespace msp {
 namespace {
@@ -228,10 +230,44 @@ TEST(SpecFromJson, OneSubprocessorPerBankIsRejected)
                  SpecError);
 
     MachineConfig m = presetByName("16sp", PredictorKind::Gshare);
-    setParamFromString(m, "msp.subprocessors", "2");
-    EXPECT_EQ(m.core.regsPerBank, 2u);
-    EXPECT_EQ(presetByName("2sp", PredictorKind::Gshare).core.regsPerBank,
-              2u);
+    setParamFromString(m, "msp.subprocessors", "3");
+    EXPECT_EQ(m.core.regsPerBank, 3u);
+    EXPECT_EQ(presetByName("3sp", PredictorKind::Gshare).core.regsPerBank,
+              3u);
+}
+
+TEST(SpecFromJson, TwoSubprocessorsPerBankAreRejected)
+{
+    // With two registers a bank holding its committed version and the
+    // open state's version has none left for the write that would
+    // close the open state: commit deadlocks (gcc, vpr, crafty, parser
+    // and eon all did within 1500 instructions). The registry and the
+    // preset grammar refuse it up front, naming the key.
+    MachineConfig m = presetByName("16sp", PredictorKind::Gshare);
+    try {
+        setParamFromString(m, "msp.subprocessors", "2");
+        FAIL() << "msp.subprocessors=2 accepted";
+    } catch (const SpecError &e) {
+        EXPECT_NE(std::string(e.what()).find("msp.subprocessors"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(specFromJson("{\"msp.subprocessors\": 2}"), SpecError);
+    EXPECT_THROW(presetByName("2sp", PredictorKind::Gshare), SpecError);
+    EXPECT_THROW(presetByName("2sp-noarb", PredictorKind::Gshare),
+                 SpecError);
+}
+
+TEST(SpecFromJson, ThreeSubprocessorsPerBankCommitEveryDeadlockedWorkload)
+{
+    // The smallest accepted bank runs the workloads that deadlocked
+    // at two to their budget.
+    for (const char *w : {"gcc", "vpr", "crafty", "parser", "eon"}) {
+        MachineConfig m = presetByName("16sp", PredictorKind::Gshare);
+        setParamFromString(m, "msp.subprocessors", "3");
+        Machine machine(m, workload::build(w, 1));
+        EXPECT_GE(machine.run(1500).committed, 1500u) << w;
+    }
 }
 
 TEST(SpecFromJson, OneCprCheckpointIsRejected)
