@@ -59,12 +59,10 @@ void
 BM_SctAllocateRelease(benchmark::State &state)
 {
     SctBank bank(0, 16);
-    int slot0 = bank.allocate(0);
-    bank.entry(slot0).ready = true;
+    bank.produce(bank.allocate(0), 0);
     std::uint32_t sid = 0;
     for (auto _ : state) {
-        int slot = bank.allocate(++sid);
-        bank.entry(slot).ready = true;
+        bank.produce(bank.allocate(++sid), sid);
         benchmark::DoNotOptimize(bank.lcsContribution());
         // Release everything superseded (keeps the current mapping).
         bank.releaseCommitted(sid + 1);

@@ -44,14 +44,11 @@ MspCore::MspCore(const CoreParams &p, const Program &program,
         // Architectural reset: one live physical register per logical
         // register, holding zero, valid for state 0 (the R1.0 / R2.0
         // entries of Fig. 2).
-        int slot = banks[b].allocate(0);
-        SctEntry &e = banks[b].entry(slot);
-        e.ready = true;
-        e.value = 0;
+        banks[b].produce(banks[b].allocate(0), 0);
     }
     bankLcs.fill(SctBank::noHotState);
     for (int b = 0; b < numLogRegs; ++b)
-        banks[b].bindHot(&bankGate[b], &bankDirtyWord,
+        banks[b].bindHot(&bankGate[b], &gateFloor, &bankDirtyWord,
                          static_cast<unsigned>(b));
 }
 
@@ -195,8 +192,7 @@ MspCore::renameOne(DynInst &d)
             if (curOwnerBank < 0) {
                 ++anchorPending;
             } else {
-                ++banks[curOwnerBank].entry(curOwnerSlot).pendingOps;
-                banks[curOwnerBank].markLcsDirty();
+                banks[curOwnerBank].addPendingOp(curOwnerSlot);
             }
         }
     }
@@ -297,10 +293,7 @@ MspCore::writebackDest(DynInst &d)
             return false;   // 1 write port per bank: retry next cycle
         writePortUsed[b] = 1;
     }
-    SctEntry &e = banks[b].entry(slotOf(d.dstPhys));
-    e.value = d.result;
-    e.ready = true;
-    banks[b].markLcsDirty();
+    const SctEntry &e = banks[b].produce(slotOf(d.dstPhys), d.result);
     // RelIQ wakeup broadcast: every use-bit holder counted this entry
     // as a pending source at insert (the ready bit was false then and
     // flips exactly once, here).
@@ -323,11 +316,7 @@ MspCore::ownerPendingDec(const DynInst &d)
         msp_assert(anchorPending > 0, "anchorPending underflow");
         --anchorPending;
     } else {
-        SctEntry &e = banks[d.ownerBank].entry(d.ownerIdx);
-        msp_assert(e.pendingOps > 0, "pendingOps underflow (bank %d)",
-                   static_cast<int>(d.ownerBank));
-        --e.pendingOps;
-        banks[d.ownerBank].markLcsDirty();
+        banks[d.ownerBank].retirePendingOp(d.ownerIdx);
     }
 }
 
@@ -352,24 +341,32 @@ MspCore::computeRawLcs()
         (fetchStopped && fetchQ.empty()) ? sc + 1 : sc;
     if (anchorPending > 0)
         m = std::min(m, anchorState);
-    // Refresh only the banks whose contribution changed since the last
-    // scan, then take the minimum over the dense mirror. Live StateIds
-    // are far below noHotState, so contribution-less banks drop out of
-    // the minimum without a branch.
+    // Refresh only the banks whose contribution may have changed since
+    // the last call, folding each new value into the cached minimum.
+    // Live StateIds are far below noHotState, so contribution-less
+    // banks drop out of the minimum without a branch. Only a bank that
+    // held the old minimum and moved up can raise it; then (and only
+    // then) the minimum is retaken over all banks.
     std::uint64_t dirty = bankDirtyWord;
     bankDirtyWord = 0;
     if (dirty)
         ++pathEvents.lcsRecompute;
+    bool minRaised = false;
     while (dirty) {
         const int b = std::countr_zero(dirty);
         dirty &= dirty - 1;
         ++pathEvents.lcsDirtyBank;
         const auto c = banks[b].lcsContribution();
-        bankLcs[b] = c ? *c : SctBank::noHotState;
+        const std::uint32_t v = c ? *c : SctBank::noHotState;
+        if (v < lcsMin)
+            lcsMin = v;
+        else if (bankLcs[b] == lcsMin && v > lcsMin)
+            minRaised = true;
+        bankLcs[b] = v;
     }
-    for (int b = 0; b < numLogRegs; ++b)
-        m = std::min(m, bankLcs[b]);
-    return m;
+    if (minRaised)
+        lcsMin = *std::min_element(bankLcs.begin(), bankLcs.end());
+    return std::min(m, lcsMin);
 }
 
 void
@@ -400,14 +397,54 @@ MspCore::doCommit()
     if (!window.empty())
         releaseLimit = std::min(releaseLimit, window.front()->stateId);
     // The gate mirrors each bank's releaseCommitted() early-out (the
-    // successor StateId of the head entry), so the common all-banks-idle
-    // cycle touches only this flat array.
-    for (int b = 0; b < numLogRegs; ++b) {
-        if (bankGate[b] < releaseLimit) {
-            ++pathEvents.sctGateRelease;
-            banks[b].releaseCommitted(releaseLimit);
+    // successor StateId of the head entry). gateFloor bounds every gate
+    // from below, so a limit at or under it can release nothing and the
+    // common all-banks-idle cycle touches no bank. A pass leaves every
+    // gate at or above the limit, which becomes the new floor.
+    if (releaseLimit > gateFloor) {
+        for (int b = 0; b < numLogRegs; ++b) {
+            if (bankGate[b] < releaseLimit) {
+                ++pathEvents.sctGateRelease;
+                banks[b].releaseCommitted(releaseLimit);
+            }
         }
+        gateFloor = releaseLimit;
     }
+}
+
+std::string
+MspCore::auditCommitPath() const
+{
+    const std::uint64_t clean = ~bankDirtyWord;
+    std::uint32_t minCopy = SctBank::noHotState;
+    for (int b = 0; b < numLogRegs; ++b) {
+        const SctBank &bk = banks[b];
+        const auto scan = bk.scanLcsContribution();
+        const std::uint32_t want = scan ? *scan : SctBank::noHotState;
+        const auto cur = bk.lcsContribution();
+        const std::uint32_t have = cur ? *cur : SctBank::noHotState;
+        if (have != want)
+            return csprintf("bank %d: RelP cursor gives %u, rescan %u", b,
+                            have, want);
+        if (((clean >> b) & 1) && bankLcs[b] != want)
+            return csprintf("bank %d: clean bankLcs %u, rescan %u", b,
+                            bankLcs[b], want);
+        minCopy = std::min(minCopy, bankLcs[b]);
+        const auto &order = bk.liveOrder();
+        const std::uint32_t gate = order.size() >= 2
+                                       ? bk.entry(order[1]).stateId
+                                       : SctBank::noHotState;
+        if (bankGate[b] != gate)
+            return csprintf("bank %d: bankGate %u, successor StateId %u",
+                            b, bankGate[b], gate);
+        if (gateFloor > gate)
+            return csprintf("bank %d: gate floor %u above gate %u", b,
+                            gateFloor, gate);
+    }
+    if (lcsMin != minCopy)
+        return csprintf("cached LCS minimum %u, min(bankLcs) %u", lcsMin,
+                        minCopy);
+    return "";
 }
 
 // ---------------------------------------------------------------------------
@@ -479,9 +516,9 @@ MspCore::warmArchState(const ArchState &warm)
     // mapping). Only its value changes — readiness and StateIds are
     // untouched, so no LCS invalidation is needed.
     for (int b = 0; b < numLogRegs; ++b) {
-        SctEntry &e = banks[b].entry(banks[b].renameSlot());
-        e.value = b < numIntRegs ? warm.readInt(b)
-                                 : warm.readFp(b - numIntRegs);
+        banks[b].setValue(banks[b].renameSlot(),
+                          b < numIntRegs ? warm.readInt(b)
+                                         : warm.readFp(b - numIntRegs));
     }
 }
 

@@ -13,6 +13,7 @@
 #define MSPLIB_CORE_MSP_CORE_HH
 
 #include <array>
+#include <string>
 #include <vector>
 
 #include "core/lcs_unit.hh"
@@ -39,6 +40,15 @@ class MspCore : public CoreBase
 
     /** Number of Sb flash-clears performed (for tests). */
     std::uint64_t flashClears() const { return numFlashClears; }
+
+    /**
+     * Recompute the commit path's incremental state from scratch and
+     * describe the first mismatch ("" when consistent): each bank's
+     * Release Pointer cursor against a rescan, each clean bank's
+     * bankLcs copy, the cached minimum, each bankGate against its
+     * bank's successor StateId, and the gate floor against every gate.
+     */
+    std::string auditCommitPath() const;
 
   protected:
     void cycleBegin() override;
@@ -98,15 +108,19 @@ class MspCore : public CoreBase
     std::vector<SctBank> banks;
     LcsUnit lcs;
 
-    // Dense commit-path mirrors of per-bank state (see SctBank::bindHot):
-    // the per-cycle LCS minimum and release-gate scan walk these flat
-    // arrays instead of 64 scattered bank objects. bankLcs entries are
-    // refreshed lazily — bankDirtyWord has one bit per bank whose cached
-    // lcsContribution() was invalidated since the last computeRawLcs().
+    // Dense commit-path copies of per-bank state (see SctBank::bindHot).
+    // bankLcs[b] is bank b's lcsContribution() as of the last
+    // computeRawLcs() (noHotState for none); bankDirtyWord has one bit
+    // per bank mutated since then, and only those are re-read. lcsMin
+    // is min(bankLcs), kept by folding each refreshed value in. bankGate
+    // is pushed by the banks; gateFloor is at or below every bankGate,
+    // so doCommit skips the release pass while the limit cannot pass it.
     static_assert(numLogRegs <= 64, "bank dirty bits held in one word");
     std::array<std::uint32_t, numLogRegs> bankLcs{};
     std::array<std::uint32_t, numLogRegs> bankGate{};
     std::uint64_t bankDirtyWord = 0;
+    std::uint32_t lcsMin = SctBank::noHotState;
+    std::uint32_t gateFloor = SctBank::noHotState;
 
     std::uint32_t sc = 0;          ///< State Counter (SC)
     std::uint32_t stateM;          ///< M: total physical registers

@@ -31,8 +31,15 @@ SctBank::allocate(std::uint32_t stateId)
     e = SctEntry{};
     e.stateId = stateId;
     e.valid = true;
+    e.pos = endPos;
     order.push_back(s);
-    markLcsDirty();   // new not-ready tail; previous tail loses exclusion
+    // The new tail is not ready: if nothing held, the cursor (at the
+    // old end) now names it. The previous tail loses its use-bit
+    // exclusion and may start holding.
+    ++endPos;
+    if (e.pos > headPos)
+        noteMaybeHolding(e.pos - 1);
+    markDirty();
     publishHotGate();
     return s;
 }
@@ -42,28 +49,62 @@ SctBank::setUse(int slot, int iqSlot)
 {
     msp_assert(iqSlot >= 0 && iqSlot < static_cast<int>(maxIqSlots),
                "bad IQ slot %d", iqSlot);
-    SctEntry &e = entry(slot);
+    SctEntry &e = entryRef(slot);
     std::uint64_t &w = e.useBits[iqSlot >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (iqSlot & 63);
     if (w & bit)
         return false;
     w |= bit;
     ++e.useCount;
-    markLcsDirty();
+    noteMaybeHolding(e.pos);
+    markDirty();
     return true;
 }
 
 void
 SctBank::clearUse(int slot, int iqSlot)
 {
-    SctEntry &e = entry(slot);
+    msp_assert(iqSlot >= 0 && iqSlot < static_cast<int>(maxIqSlots),
+               "bad IQ slot %d", iqSlot);
+    SctEntry &e = entryRef(slot);
     std::uint64_t &w = e.useBits[iqSlot >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (iqSlot & 63);
     msp_assert(w & bit, "bank %d: clearing unset use bit", id);
     w &= ~bit;
     msp_assert(e.useCount > 0, "bank %d: useCount underflow", id);
     --e.useCount;
-    markLcsDirty();
+    noteMaybeClear(e.pos);
+    markDirty();
+}
+
+const SctEntry &
+SctBank::produce(int slot, std::uint64_t value)
+{
+    SctEntry &e = entryRef(slot);
+    e.value = value;
+    e.ready = true;
+    noteMaybeClear(e.pos);
+    markDirty();
+    return e;
+}
+
+void
+SctBank::addPendingOp(int slot)
+{
+    SctEntry &e = entryRef(slot);
+    ++e.pendingOps;
+    noteMaybeHolding(e.pos);
+    markDirty();
+}
+
+void
+SctBank::retirePendingOp(int slot)
+{
+    SctEntry &e = entryRef(slot);
+    msp_assert(e.pendingOps > 0, "pendingOps underflow (bank %d)", id);
+    --e.pendingOps;
+    noteMaybeClear(e.pos);
+    markDirty();
 }
 
 std::optional<std::uint32_t>
@@ -83,8 +124,10 @@ SctBank::scanLcsContribution() const
 int
 SctBank::releaseCommittedSlow(std::uint32_t lcs)
 {
+    // Only done() entries leave, so the cursor (the first holding
+    // entry) is never passed.
     int released = 0;
-    markLcsDirty();
+    markDirty();
     while (order.size() >= 2) {
         const SctEntry &succ = slots[order[1]];
         if (succ.stateId >= lcs)
@@ -96,6 +139,7 @@ SctBank::releaseCommittedSlow(std::uint32_t lcs)
         head.valid = false;
         freeSlots.push_back(order.front());
         order.pop_front();
+        ++headPos;
         ++released;
     }
     publishHotGate();
@@ -115,7 +159,13 @@ SctBank::releaseTail(int expectedSlot)
     e.valid = false;
     freeSlots.push_back(order.back());
     order.pop_back();
-    markLcsDirty();
+    --endPos;
+    if (holdPos > endPos)
+        holdPos = endPos;
+    // The new tail regains its use-bit exclusion and may stop holding.
+    if (endPos > headPos)
+        noteMaybeClear(endPos - 1);
+    markDirty();
     publishHotGate();
 }
 
@@ -127,18 +177,15 @@ SctBank::flashClearStateIds(std::uint32_t sub)
     // carry a pre-saturation StateId. They are older than everything in
     // flight, so clamping to zero preserves every ordering the id is
     // used for. Uncommitted states are guaranteed >= sub (asserted by
-    // the caller on the instruction window).
+    // the caller on the instruction window). No flag moves, so neither
+    // does the cursor.
     for (int s : order) {
         SctEntry &e = slots[s];
         e.stateId = e.stateId >= sub ? e.stateId - sub : 0;
     }
-    // The first holding entry is unchanged (no flags moved); its
-    // StateId shifted exactly like the cache must.
-    if (!lcsDirty && lcsCache)
-        *lcsCache = *lcsCache >= sub ? *lcsCache - sub : 0;
-    // The release gate shifted with every StateId; the hot
-    // lcsContribution copies are refreshed by the core, which marks
-    // every bank dirty after a flash clear.
+    // The release gate shifted with every StateId; the core's copies of
+    // lcsContribution() are refreshed by the core, which marks every
+    // bank dirty after a flash clear.
     publishHotGate();
 }
 

@@ -42,6 +42,7 @@ struct SctEntry
     std::uint64_t value = 0;
     std::uint32_t useCount = 0;  ///< set bits in the RelIQ row
     std::uint32_t pendingOps = 0;///< unexecuted same-state non-assigners
+    std::uint64_t pos = 0;       ///< allocation position in the bank
     std::array<std::uint64_t, maxIqSlots / 64> useBits{};
 
     /**
@@ -56,7 +57,14 @@ struct SctEntry
     }
 };
 
-/** One logical register's bank of physical registers. */
+/**
+ * One logical register's bank of physical registers.
+ *
+ * Every write that can move the Release Pointer goes through a method
+ * (allocate, produce, setUse/clearUse, addPendingOp/retirePendingOp,
+ * the releases), so the bank keeps RelP as a cursor instead of
+ * rescanning: entry() is read-only.
+ */
 class SctBank
 {
   public:
@@ -92,19 +100,13 @@ class SctBank
         return order.empty() ? -1 : order.front();
     }
 
-    SctEntry &
-    entry(int slot)
+    const SctEntry &
+    entry(int slot) const
     {
         msp_assert(slot >= 0 && slot < static_cast<int>(slots.size()) &&
                        slots[slot].valid,
                    "bank %d: access to invalid slot %d", id, slot);
         return slots[slot];
-    }
-
-    const SctEntry &
-    entry(int slot) const
-    {
-        return const_cast<SctBank *>(this)->entry(slot);
     }
 
     /**
@@ -116,11 +118,31 @@ class SctBank
     /** Clear a use bit (consumer issued, or squashed). */
     void clearUse(int slot, int iqSlot);
 
+    /** Writeback: the entry's value arrives and its Ready bit sets. */
+    const SctEntry &produce(int slot, std::uint64_t value);
+
+    /** A same-state non-assigning instruction joined @p slot's state. */
+    void addPendingOp(int slot);
+
+    /** One of @p slot's pending same-state instructions executed. */
+    void retirePendingOp(int slot);
+
+    /**
+     * Overwrite a ready entry's value without touching any flag (warm
+     * architectural state); the Release Pointer cannot move.
+     */
+    void
+    setValue(int slot, std::uint64_t value)
+    {
+        entryRef(slot).value = value;
+    }
+
     /**
      * StateId this bank contributes to the LCS minimum: the StateId of
-     * the first (oldest) entry that still holds its state back. A bank
-     * whose entries are all clear is excluded (the RenP==RelP special
-     * condition of Sec. 3.2.2 and its multi-entry generalisation).
+     * the first (oldest) entry that still holds its state back — the
+     * entry at the Release Pointer. A bank whose entries are all clear
+     * is excluded (the RenP==RelP special condition of Sec. 3.2.2 and
+     * its multi-entry generalisation).
      *
      * The *tail* entry (current mapping, RenP target) only holds the
      * LCS until its value is produced — not until consumed: a live
@@ -129,55 +151,47 @@ class SctBank
      * through its own instruction's state. Without this exclusion a
      * single loop-invariant register deadlocks commit.
      *
-     * The result is cached: the commit stage queries every bank every
-     * cycle, but most banks don't change state in most cycles. Every
-     * mutation that can move the first holding entry (allocate,
-     * use-bit set/clear, pendingOps and ready transitions, releases)
-     * marks the cache dirty; the scan reruns only then.
+     * One lookup: holdPos is kept at the first holding entry by every
+     * mutator (see holdPos).
      */
     std::optional<std::uint32_t>
     lcsContribution() const
     {
-        if (lcsDirty) {
-            lcsCache = scanLcsContribution();
-            lcsDirty = false;
-        }
-        return lcsCache;
+        if (holdPos == endPos)
+            return std::nullopt;
+        return slots[slotAt(holdPos)].stateId;
     }
 
     /**
-     * Invalidate the cached lcsContribution(). Public because the MSP
-     * core mutates ready/pendingOps directly through entry().
+     * The from-scratch definition of lcsContribution(): walk the live
+     * entries oldest first. Kept for tests and the core's commit-path
+     * audit, which compare the cursor against it.
      */
-    void
-    markLcsDirty()
-    {
-        lcsDirty = true;
-        if (hotDirtyWord)
-            *hotDirtyWord |= hotDirtyMask;
-    }
+    std::optional<std::uint32_t> scanLcsContribution() const;
 
     /** Sentinel for "no release gate / no contribution" in hot lanes. */
     static constexpr std::uint32_t noHotState = ~std::uint32_t{0};
 
     /**
      * Bind this bank's hot commit-path state into core-owned dense
-     * arrays. The commit stage queries all banks every cycle; touching
-     * 64 scattered bank objects per cycle is most of its cost, so the
-     * bank pushes the two scanned values out instead:
+     * arrays, so the commit stage reads flat arrays instead of 64
+     * scattered bank objects:
      *
      *  - @p gateSlot receives the successor StateId that gates
      *    releaseCommitted() (noHotState when fewer than two entries),
-     *    updated whenever the live order changes;
-     *  - @p dirtyWord gets bit @p bitIndex set whenever the cached
-     *    lcsContribution() is invalidated, so the core recomputes only
-     *    dirty banks (and clears the bits itself).
+     *    updated whenever the live order or the StateIds change;
+     *  - @p gateFloor is lowered to every gate published below it, so
+     *    it stays a lower bound on all banks' gates;
+     *  - @p dirtyWord gets bit @p bitIndex set whenever a mutation may
+     *    have changed lcsContribution(), so the core refreshes its
+     *    copy of only those banks (and clears the bits itself).
      */
     void
-    bindHot(std::uint32_t *gateSlot, std::uint64_t *dirtyWord,
-            unsigned bitIndex)
+    bindHot(std::uint32_t *gateSlot, std::uint32_t *gateFloor,
+            std::uint64_t *dirtyWord, unsigned bitIndex)
     {
         hotGate = gateSlot;
+        hotFloor = gateFloor;
         hotDirtyWord = dirtyWord;
         hotDirtyMask = std::uint64_t{1} << bitIndex;
         publishHotGate();
@@ -191,8 +205,7 @@ class SctBank
      * @return Number of entries released.
      *
      * The no-op case (nothing committed in this bank since the last
-     * broadcast) is decided inline — it is the common case for all 64
-     * banks, every cycle.
+     * broadcast) is decided inline.
      */
     int
     releaseCommitted(std::uint32_t lcs)
@@ -216,14 +229,64 @@ class SctBank
   private:
     int freeSlot();
     int releaseCommittedSlow(std::uint32_t lcs);
-    std::optional<std::uint32_t> scanLcsContribution() const;
+
+    SctEntry &
+    entryRef(int slot)
+    {
+        entry(slot);   // validity check
+        return slots[slot];
+    }
+
+    /** Slot of the live entry at allocation position @p p. */
+    int
+    slotAt(std::uint64_t p) const
+    {
+        return order[static_cast<std::size_t>(p - headPos)];
+    }
+
+    /** The RelP stop predicate for the live entry at position @p p. */
+    bool
+    holding(std::uint64_t p) const
+    {
+        const SctEntry &e = slots[slotAt(p)];
+        return !e.ready || e.pendingOps > 0 ||
+               (e.useCount > 0 && p + 1 != endPos);
+    }
+
+    /** @p p may have started holding: pull the cursor back to it. */
+    void
+    noteMaybeHolding(std::uint64_t p)
+    {
+        if (p < holdPos && holding(p))
+            holdPos = p;
+    }
+
+    /** @p p may have stopped holding: move the cursor past clear entries. */
+    void
+    noteMaybeClear(std::uint64_t p)
+    {
+        if (p != holdPos)
+            return;
+        while (holdPos != endPos && !holding(holdPos))
+            ++holdPos;
+    }
+
+    void
+    markDirty()
+    {
+        if (hotDirtyWord)
+            *hotDirtyWord |= hotDirtyMask;
+    }
 
     void
     publishHotGate()
     {
         if (hotGate) {
-            *hotGate = order.size() >= 2 ? slots[order[1]].stateId
-                                         : noHotState;
+            const std::uint32_t g =
+                order.size() >= 2 ? slots[order[1]].stateId : noHotState;
+            *hotGate = g;
+            if (g < *hotFloor)
+                *hotFloor = g;
         }
     }
 
@@ -233,11 +296,21 @@ class SctBank
     std::vector<int> freeSlots;
     std::deque<int> order;   ///< live slots, oldest first
 
-    mutable bool lcsDirty = true;
-    mutable std::optional<std::uint32_t> lcsCache;
+    // Allocation positions: order[i] is at position headPos + i, and
+    // endPos is one past the tail. holdPos is the Release Pointer: the
+    // position of the first holding entry, or endPos when none holds.
+    // In the core only the two newest entries can start holding: a new
+    // tail is not ready, the previous tail loses its use-bit exclusion,
+    // and use bits and pending ops land on a bank's tail. The cursor
+    // therefore moves back only near the tail, and its forward walks
+    // are amortised O(1) per mutation.
+    std::uint64_t headPos = 0;
+    std::uint64_t endPos = 0;
+    std::uint64_t holdPos = 0;
 
     // Core-owned hot commit-path slots (see bindHot).
     std::uint32_t *hotGate = nullptr;
+    std::uint32_t *hotFloor = nullptr;
     std::uint64_t *hotDirtyWord = nullptr;
     std::uint64_t hotDirtyMask = 0;
 };

@@ -342,5 +342,44 @@ TEST(WindowLanes, IssueAttemptCountersArePinned)
     EXPECT_GT(conflicts, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// LCS path anchor: how often the MSP commit stage refreshes bank LCS
+// copies (PathEvents::lcsRecompute, lcsDirtyBank) and enters a bank's
+// commit-time release (sctGateRelease). Coverage features 79-81 and the
+// core.lcs_* benchmark rows read them, so caching inside the commit
+// path must never move them. Same six runs as above; the baseline and
+// CPR cores have no LCS and must stay at zero.
+// ---------------------------------------------------------------------------
+
+TEST(WindowLanes, LcsPathCountersArePinned)
+{
+    struct Pin
+    {
+        const char *workload;
+        MachineConfig cfg;
+        std::uint64_t lcsRecompute, lcsDirtyBank, sctGateRelease;
+    };
+    const PredictorKind p = PredictorKind::Tage;
+    const std::vector<Pin> pins = {
+        {"swim", baselineConfig(p), 0, 0, 0},
+        {"swim", cprConfig(p), 0, 0, 0},
+        {"swim", nspConfig(16, p), 2016, 9976, 2019},
+        {"applu", baselineConfig(p), 0, 0, 0},
+        {"applu", cprConfig(p), 0, 0, 0},
+        {"applu", nspConfig(16, p), 1714, 10791, 2123},
+    };
+
+    for (const Pin &pin : pins) {
+        Machine m(pin.cfg, spec::build(pin.workload, 1));
+        m.run(3000);
+        const PathEvents &ev = m.core().events();
+        const std::string id =
+            std::string(pin.workload) + "/" + pin.cfg.name;
+        EXPECT_EQ(ev.lcsRecompute, pin.lcsRecompute) << id;
+        EXPECT_EQ(ev.lcsDirtyBank, pin.lcsDirtyBank) << id;
+        EXPECT_EQ(ev.sctGateRelease, pin.sctGateRelease) << id;
+    }
+}
+
 } // anonymous namespace
 } // namespace msp
