@@ -134,6 +134,17 @@ applySpecSets(std::vector<MachineConfig> &machines,
     }
 }
 
+void
+checkMachine(const MachineConfig &m)
+{
+    try {
+        checkSpec(m);
+    } catch (const SpecError &e) {
+        throw CliError(csprintf("machine %s: %s", m.name.c_str(),
+                                e.what()));
+    }
+}
+
 std::vector<MachineConfig>
 resolveMachines(const CliOptions &o)
 {
@@ -156,6 +167,8 @@ resolveMachines(const CliOptions &o)
         }
     }
     applySpecSets(machines, o.sets);
+    for (const MachineConfig &m : machines)
+        checkMachine(m);
     return machines;
 }
 

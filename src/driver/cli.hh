@@ -119,11 +119,19 @@ void applySpecSets(std::vector<MachineConfig> &machines,
                    const std::vector<std::string> &sets);
 
 /**
+ * checkSpec() for a machine that is complete (after --set).
+ * @throws CliError naming the machine and the key on a violation.
+ */
+void checkMachine(const MachineConfig &m);
+
+/**
  * Materialise the machine list of a parsed invocation with the
  * documented precedence: presets named by --configs, then the
  * --machine FILE spec (parsed through sim/spec.hh), then every --set
- * override applied on top of all of them.
- * @throws CliError on unreadable/unparseable specs or bad overrides.
+ * override applied on top of all of them; each result passes
+ * checkMachine().
+ * @throws CliError on unreadable/unparseable specs, bad overrides or
+ *         machines no core can build.
  */
 std::vector<MachineConfig> resolveMachines(const CliOptions &o);
 

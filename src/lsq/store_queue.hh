@@ -46,8 +46,13 @@ struct ForwardResult
     enum class Kind {
         None,      ///< no older matching store: go to the cache
         Forward,   ///< value available from the queue
-        Stall,     ///< older matching store's data not yet known
-        Unknown,   ///< an older store's address is unresolved: wait
+        /// Older matching store's data not yet known. resolve() sets
+        /// address and data together, so no probe returns this today;
+        /// the issue stage keeps such a load on its per-cycle retry
+        /// path rather than parking it (only Unknown parks).
+        Stall,
+        Unknown,   ///< an older store's address is unresolved: the
+                   ///< load parks until a store resolves
     };
     Kind kind = Kind::None;
     std::uint64_t data = 0;

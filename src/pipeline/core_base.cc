@@ -10,6 +10,14 @@
 
 namespace msp {
 
+namespace {
+
+/** PathEvents::sqProbe index of a probe blocked by an unknown address. */
+constexpr unsigned blockedProbe =
+    static_cast<unsigned>(ForwardResult::Kind::Unknown);
+
+} // anonymous namespace
+
 CoreBase::CoreBase(const CoreParams &p, const Program &program,
                    PredictorKind predictor, StatGroup &statGroup)
     : params(p), prog(&program), stats(statGroup),
@@ -281,13 +289,31 @@ CoreBase::doIssueStage()
     // writeback); most stalled cycles exit on the anyReady() test
     // without touching the bitmap at all. A ready entry makes the
     // cycle active even if it fails to issue: its attempt is counted.
-    if (!iq.anyReady())
+    //
+    // A load whose store-queue probe finds an older store with an
+    // unknown address is parked instead of retried: only that store
+    // resolving can change the answer (allocate adds stores younger
+    // than every IQ load, squashAfter removes only stores younger than
+    // every surviving load, drainOldest only resolved ones). Select
+    // would have re-probed each parked load it walked past and found it
+    // blocked again, so those probes are counted after the walk: the
+    // parked loads below the entry that filled the issue width (or all
+    // of them when width is left over), less the ones this walk parked,
+    // which probed for real. A load parked here stays parked: only a
+    // store older than it could unpark it, and that store came first.
+    if (!iq.anyReady()) {
+        if (iq.parked() != 0)
+            pathEvents.sqProbe[blockedProbe] += iq.parked();
         return false;
+    }
     // Nothing inserts, wakes or compacts during issue (rename runs
-    // after it, writeback before): the walk only removes the entry it
-    // just yielded, which is what keeps the iterator valid.
+    // after it, writeback before): the walk only removes or parks the
+    // entry it just yielded and unparks younger ones, which is what
+    // keeps the iterator valid.
     const std::uint64_t admitted = iq.admissions();
     unsigned issuedThisCycle = 0;
+    unsigned parkedHere = 0;
+    std::size_t walkEnd = iq.ageOrder().size();   // age positions passed
     for (const int slot : iq.readyOldestFirst()) {
         if (issuedThisCycle >= params.issueWidth)
             break;
@@ -311,10 +337,13 @@ CoreBase::doIssueStage()
             }
             ForwardResult fw = sq.probe(d.seq, d.effAddr);
             ++pathEvents.sqProbe[static_cast<unsigned>(fw.kind)];
-            if (fw.kind == ForwardResult::Kind::Unknown ||
-                fw.kind == ForwardResult::Kind::Stall) {
-                continue;   // retry when the blocking store resolves
+            if (fw.kind == ForwardResult::Kind::Unknown) {
+                iq.park(slot);   // until an older store resolves
+                ++parkedHere;
+                continue;
             }
+            if (fw.kind == ForwardResult::Kind::Stall)
+                continue;   // retry next cycle (see ForwardResult)
             if (!issuePortsAvailable(d) || !fuPool.tryAcquire(FuClass::Mem))
                 continue;
             if (fw.kind == ForwardResult::Kind::Forward) {
@@ -335,6 +364,7 @@ CoreBase::doIssueStage()
             executeInst(d);
             if (oi.isStore) {
                 sq.resolve(d.seq, d.effAddr, d.storeData);
+                iq.unparkYoungerThan(slot);
                 latency = 1;
             }
         }
@@ -342,9 +372,14 @@ CoreBase::doIssueStage()
         d.issued = true;
         d.execDoneAt = now + latency;
         onIssued(d);
+        if (++issuedThisCycle == params.issueWidth)
+            walkEnd = d.iqOrderIdx + 1;
         iq.remove(&d);
         inExec.push_back(&d);
-        ++issuedThisCycle;
+    }
+    if (iq.parked() != parkedHere) {
+        pathEvents.sqProbe[blockedProbe] +=
+            iq.parkedBetween(0, walkEnd) - parkedHere;
     }
     msp_assert(iq.admissions() == admitted,
                "IQ insert or wakeup during select");
@@ -644,6 +679,41 @@ CoreBase::dumpDeadlock() const
     }
 }
 
+std::string
+CoreBase::auditIssueQueue() const
+{
+    std::string bad = iq.auditBitmaps();
+    if (!bad.empty())
+        return bad;
+    for (const std::int32_t slot : iq.ageOrder()) {
+        if (slot < 0)
+            continue;
+        const DynInst &d = *iq.at(slot);
+        const bool ready = iq.ready(slot);
+        const bool parked = iq.isParked(slot);
+        const bool operands = operandsReady(d);
+        const char *what = nullptr;
+        if (ready && !operands) {
+            what = "ready with operands not ready";
+        } else if (parked && (!d.isLoad() || d.issued || !operands)) {
+            what = "parked but not an unissued load with ready operands";
+        } else if (parked && (d.effAddr == invalidAddr ||
+                              sq.probe(d.seq, d.effAddr).kind !=
+                                  ForwardResult::Kind::Unknown)) {
+            what = "parked but its store-queue probe is not blocked";
+        } else if (!d.issued && operands && !ready && !parked) {
+            what = "operands ready but neither ready nor parked";
+        }
+        if (what) {
+            return csprintf("IQ slot %d (seq %llu, pc %llu, %s): %s", slot,
+                            static_cast<unsigned long long>(d.seq),
+                            static_cast<unsigned long long>(d.pc),
+                            opName(d.si.op), what);
+        }
+    }
+    return {};
+}
+
 bool
 CoreBase::stepCycle()
 {
@@ -685,6 +755,10 @@ CoreBase::skipQuietCycles(Cycle maxCycles)
     const Cycle k = wake - now;
     if (renameStalled)
         countRenameStall(k);   // same reason each cycle: the diagonal
+    // Issue found nothing ready, so each skipped cycle would re-probe
+    // every parked load once (doIssueStage's early exit).
+    if (iq.parked() != 0)
+        pathEvents.sqProbe[blockedProbe] += k * iq.parked();
     skipped += k;
     now = wake;
 }

@@ -21,6 +21,7 @@
 
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "bpred/branch_unit.hh"
@@ -157,6 +158,17 @@ class CoreBase
      * reads it.
      */
     std::uint64_t skippedCycles() const { return skipped; }
+
+    /**
+     * Recompute the issue queue's select state from scratch and compare
+     * it with the incremental one: the ready and parked bitmaps are
+     * disjoint and match their counts, every ready entry has its
+     * operands, every parked entry is an unissued load whose
+     * store-queue probe is blocked right now, and no entry with ready
+     * operands is in neither bitmap. Returns an empty string when
+     * consistent, else the first discrepancy. Call it between cycles.
+     */
+    std::string auditIssueQueue() const;
 
   protected:
     // ---- per-core policy hooks ------------------------------------------
@@ -325,8 +337,10 @@ class CoreBase
      *  - A new side effect of a blocked stage that recurs every cycle
      *    (a counter bump, a probe) must either be replicated for the
      *    skipped cycles in skipQuietCycles(), as the rename-stall
-     *    counters are, or make the cycle active, as a ready IQ entry
-     *    that fails to issue does.
+     *    counters and the parked loads' store-queue re-probes are, or
+     *    make the cycle active, as a ready IQ entry that fails to issue
+     *    does. Parked loads are not ready entries: a cycle whose only
+     *    issue candidates are parked loads is quiet.
      */
     bool stepCycle();
 
@@ -420,7 +434,8 @@ class CoreBase
     /**
      * After a quiet cycle: set `now` to the next timed event (capped by
      * @p maxCycles and the deadlock panic's cycle) and account the
-     * skipped cycles' rename stalls as stepping would have.
+     * skipped cycles' rename stalls and parked-load re-probes as
+     * stepping would have.
      */
     void skipQuietCycles(Cycle maxCycles);
 

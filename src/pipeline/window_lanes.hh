@@ -15,12 +15,16 @@
  *   - seq / source-tag / FU-class lanes for asserts and diagnostics,
  *
  * plus the age-ordered slot list (sorted by construction, holes
- * compacted lazily) that fixes select priority, and the one ready
- * bitmap, indexed by *position in that list* rather than by slot. Bit
- * i set means the entry at age position i is ready, so select walks
- * the set bits with countr_zero and visits ready entries oldest first
- * without touching waiting entries or holes. Compaction moves each bit
- * with its entry.
+ * compacted lazily) that fixes select priority, and two bitmaps
+ * indexed by *position in that list* rather than by slot. Bit i of the
+ * ready bitmap set means the entry at age position i is ready, so
+ * select walks the set bits with countr_zero and visits ready entries
+ * oldest first without touching waiting entries or holes. The parked
+ * bitmap holds loads whose operands are ready but whose store-queue
+ * probe found an older store with an unknown address: select skips
+ * them until a store resolves (unparkYoungerThan()), since nothing
+ * else can change such a probe's answer. The two bitmaps are disjoint,
+ * and compaction moves each bit with its entry.
  *
  * Readiness becomes *event-driven*: a slot's pending count is set once
  * at insert (counting distinct not-yet-ready source tags) and
@@ -45,6 +49,7 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -67,6 +72,7 @@ class WindowLanes
         pendingLane.assign(capacity, 0);
         genLane.assign(capacity, 0);
         readyPos.assign((orderLimit + 63) / 64, 0);
+        parkedPos.assign(readyPos.size(), 0);
         freeSlots.reserve(capacity);
         for (unsigned i = 0; i < capacity; ++i)
             freeSlots.push_back(capacity - 1 - i);
@@ -83,6 +89,9 @@ class WindowLanes
 
     /** Any slot ready? (cheap per-cycle early-out for the select loop) */
     bool anyReady() const { return readyCount != 0; }
+
+    /** Parked loads (see park()). */
+    unsigned parked() const { return parkedCount; }
 
     /** Insert @p d; assigns and returns its slot id. Pending sources
      *  are not known yet — the core calls setPending() after rename. */
@@ -168,6 +177,107 @@ class WindowLanes
         return d != nullptr && readyAt(d->iqOrderIdx);
     }
 
+    bool
+    isParked(int slot) const
+    {
+        const DynInst *d = inst[slot];
+        return d != nullptr && parkedAt(d->iqOrderIdx);
+    }
+
+    /**
+     * Take ready @p slot out of select: a load whose store-queue probe
+     * is blocked by an older store with an unknown address. It keeps
+     * its age position and returns to the ready bitmap when a store
+     * older than it resolves (unparkYoungerThan()).
+     */
+    void
+    park(int slot)
+    {
+        const std::size_t pos = inst[slot]->iqOrderIdx;
+        msp_assert(readyAt(pos), "park of unready IQ slot %d", slot);
+        clearBit(readyPos, pos);
+        setBit(parkedPos, pos);
+        --readyCount;
+        ++parkedCount;
+    }
+
+    /**
+     * Store @p slot resolved: every parked load younger than it goes
+     * back to the ready bitmap, where a select walk now at @p slot
+     * still reaches it (see ReadyIter). Costs nothing with no load
+     * parked, else one pass over the words from the store's position
+     * to the end of the age list.
+     */
+    void
+    unparkYoungerThan(int slot)
+    {
+        if (parkedCount == 0)
+            return;
+        const std::size_t from = inst[slot]->iqOrderIdx + 1;
+        const std::size_t end = (order.size() + 63) / 64;
+        std::uint64_t mask = ~std::uint64_t{0} << (from & 63);
+        for (std::size_t w = from >> 6; w < end && parkedCount != 0; ++w) {
+            const std::uint64_t moved = parkedPos[w] & mask;
+            mask = ~std::uint64_t{0};
+            if (moved == 0)
+                continue;
+            parkedPos[w] &= ~moved;
+            readyPos[w] |= moved;
+            const unsigned n = std::popcount(moved);
+            parkedCount -= n;
+            readyCount += n;
+        }
+    }
+
+    /** Parked loads at age positions [@p from, @p to). */
+    unsigned
+    parkedBetween(std::size_t from, std::size_t to) const
+    {
+        if (parkedCount == 0 || from >= to)
+            return 0;
+        const std::size_t first = from >> 6, last = (to - 1) >> 6;
+        const std::uint64_t lo = ~std::uint64_t{0} << (from & 63);
+        const std::uint64_t hi = ~std::uint64_t{0} >> (63 - ((to - 1) & 63));
+        if (first == last)
+            return std::popcount(parkedPos[first] & lo & hi);
+        unsigned n = std::popcount(parkedPos[first] & lo);
+        for (std::size_t w = first + 1; w < last; ++w)
+            n += std::popcount(parkedPos[w]);
+        return n + std::popcount(parkedPos[last] & hi);
+    }
+
+    /**
+     * Check the bitmaps against each other and the age list: disjoint,
+     * set only at live positions, counts equal to their popcounts.
+     * Returns an empty string when consistent, else what is wrong.
+     */
+    std::string
+    auditBitmaps() const
+    {
+        unsigned readyBits = 0, parkedBits = 0;
+        for (std::size_t w = 0; w < readyPos.size(); ++w) {
+            if (readyPos[w] & parkedPos[w])
+                return csprintf("age word %zu: ready and parked overlap",
+                                w);
+            for (std::uint64_t bits = readyPos[w] | parkedPos[w];
+                 bits != 0; bits &= bits - 1) {
+                const std::size_t pos = w * 64 + std::countr_zero(bits);
+                if (pos >= order.size() || order[pos] < 0)
+                    return csprintf("age position %zu: bit set without a "
+                                    "live entry", pos);
+            }
+            readyBits += std::popcount(readyPos[w]);
+            parkedBits += std::popcount(parkedPos[w]);
+        }
+        if (readyBits != readyCount)
+            return csprintf("readyCount %u, ready bitmap holds %u",
+                            readyCount, readyBits);
+        if (parkedBits != parkedCount)
+            return csprintf("parkedCount %u, parked bitmap holds %u",
+                            parkedCount, parkedBits);
+        return {};
+    }
+
     /** Pending distinct unready sources (tests/diagnostics). */
     unsigned pendingOf(int slot) const { return pendingLane[slot]; }
 
@@ -187,10 +297,11 @@ class WindowLanes
         msp_assert(inst[slot] == d, "IQ slot mismatch");
         msp_assert(d->iqOrderIdx >= 0 && order[d->iqOrderIdx] == slot,
                    "IQ age-list mismatch");
-        if (readyAt(d->iqOrderIdx)) {
-            clearReadyAt(d->iqOrderIdx);
-            --readyCount;
-        }
+        const std::size_t pos = d->iqOrderIdx;
+        readyCount -= readyAt(pos);
+        parkedCount -= parkedAt(pos);
+        clearBit(readyPos, pos);
+        clearBit(parkedPos, pos);
         inst[slot] = nullptr;
         seqLane[slot] = invalidSeqNum;
         src1Lane[slot] = noReg;
@@ -214,58 +325,68 @@ class WindowLanes
 
     /**
      * Select iterator: yields the ready slots oldest first, walking the
-     * set bits of the position bitmap with countr_zero. It holds a copy
-     * of the current word and reads later words when it reaches them,
-     * so removing the entry just yielded is safe; inserting, waking or
-     * compacting while it is live is not (see admissions()).
+     * set bits of the position bitmap with countr_zero. Each step reads
+     * the live bitmap for the first ready position past the one just
+     * yielded, so the walk may remove or park the entry it yielded and
+     * may unpark younger entries (a store resolving at issue); those
+     * are still reached, even in the word being walked. Inserting,
+     * waking or compacting while it is live is not allowed (see
+     * admissions()).
      */
     class ReadyIter
     {
       public:
         explicit ReadyIter(const WindowLanes &q)
-            : lanes(&q), endWord((q.order.size() + 63) / 64)
+            : order(q.order.data()), ready(q.readyPos.data()),
+              endWord((q.order.size() + 63) / 64)
         {
-            load();
+            seek(0);
         }
 
-        int
-        operator*() const
-        {
-            return lanes->order[word * 64 + std::countr_zero(bits)];
-        }
+        int operator*() const { return order[pos]; }
 
         ReadyIter &
         operator++()
         {
-            bits &= bits - 1;
-            if (bits == 0) {
-                ++word;
-                load();
-            }
+            seek(pos + 1);
             return *this;
         }
 
         bool
         operator==(std::default_sentinel_t) const
         {
-            return word >= endWord;
+            return pos == done;
         }
 
       private:
+        static constexpr std::size_t done = ~std::size_t{0};
+
+        /** Move to the first ready position >= @p from. */
         void
-        load()
+        seek(std::size_t from)
         {
-            for (; word < endWord; ++word) {
-                bits = lanes->readyPos[word];
-                if (bits != 0)
-                    return;
+            std::size_t w = from >> 6;
+            if (w < endWord) {
+                std::uint64_t bits =
+                    ready[w] & (~std::uint64_t{0} << (from & 63));
+                for (;;) {
+                    if (bits != 0) {
+                        pos = w * 64 + std::countr_zero(bits);
+                        return;
+                    }
+                    if (++w == endWord)
+                        break;
+                    bits = ready[w];
+                }
             }
+            pos = done;
         }
 
-        const WindowLanes *lanes;
-        std::size_t word = 0;
+        // Neither vector reallocates during a walk (no insert).
+        const std::int32_t *order;
+        const std::uint64_t *ready;
         std::size_t endWord;
-        std::uint64_t bits = 0;
+        std::size_t pos = done;
     };
 
     /** Range over the ready slots, oldest first (see ReadyIter). */
@@ -285,51 +406,66 @@ class WindowLanes
     std::uint64_t admissions() const { return admitCount; }
 
   private:
-    bool
-    readyAt(std::size_t pos) const
+    using Bitmap = std::vector<std::uint64_t>;
+
+    static bool
+    testBit(const Bitmap &b, std::size_t pos)
     {
-        return readyPos[pos >> 6] >> (pos & 63) & 1;
+        return b[pos >> 6] >> (pos & 63) & 1;
     }
 
-    void
-    setReadyAt(std::size_t pos)
+    static void
+    setBit(Bitmap &b, std::size_t pos)
     {
-        readyPos[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+        b[pos >> 6] |= std::uint64_t{1} << (pos & 63);
     }
 
-    void
-    clearReadyAt(std::size_t pos)
+    static void
+    clearBit(Bitmap &b, std::size_t pos)
     {
-        readyPos[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+        b[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
     }
+
+    bool readyAt(std::size_t pos) const { return testBit(readyPos, pos); }
+    bool parkedAt(std::size_t pos) const { return testBit(parkedPos, pos); }
 
     void
     markReady(int slot)
     {
         const int pos = inst[slot]->iqOrderIdx;
-        msp_assert(!readyAt(pos), "slot %d marked ready twice", slot);
-        setReadyAt(pos);
+        msp_assert(!readyAt(pos) && !parkedAt(pos),
+                   "slot %d marked ready while ready or parked", slot);
+        setBit(readyPos, pos);
         ++readyCount;
         ++admitCount;
     }
 
-    /** Squeeze the holes out of the age list; ready bits move with
-     *  their entries. Each entry only moves down, to a position
-     *  already vacated, so the bits can move in place. */
+    /** Squeeze the holes out of the age list; ready and parked bits
+     *  move with their entries. Each entry only moves down, so an
+     *  output bitmap word is complete, and written back, before the
+     *  walk reads past it. */
     void
     compact()
     {
+        const std::size_t words = (order.size() + 63) / 64;
         std::size_t out = 0;
+        std::uint64_t readyWord = 0, parkedWord = 0;   // output word
         for (std::size_t i = 0; i < order.size(); ++i) {
             if (order[i] < 0)
                 continue;
-            if (out != i && readyAt(i)) {
-                clearReadyAt(i);
-                setReadyAt(out);
-            }
+            readyWord |= std::uint64_t{readyAt(i)} << (out & 63);
+            parkedWord |= std::uint64_t{parkedAt(i)} << (out & 63);
             order[out] = order[i];
             inst[order[out]]->iqOrderIdx = static_cast<int>(out);
-            ++out;
+            if ((++out & 63) == 0) {
+                readyPos[(out >> 6) - 1] = readyWord;
+                parkedPos[(out >> 6) - 1] = parkedWord;
+                readyWord = parkedWord = 0;
+            }
+        }
+        for (std::size_t w = out >> 6; w < words; ++w) {
+            readyPos[w] = w == out >> 6 ? readyWord : 0;
+            parkedPos[w] = w == out >> 6 ? parkedWord : 0;
         }
         order.resize(out);
     }
@@ -346,6 +482,7 @@ class WindowLanes
     std::vector<std::uint8_t> pendingLane;
     std::vector<std::uint32_t> genLane;
     unsigned readyCount = 0;
+    unsigned parkedCount = 0;
     unsigned liveCount = 0;
     std::uint64_t admitCount = 0;
     SeqNum lastInsertSeq = invalidSeqNum;
@@ -356,7 +493,10 @@ class WindowLanes
     std::vector<std::int32_t> order;
 
     /** Ready bits by position in order (bit i <-> order[i]). */
-    std::vector<std::uint64_t> readyPos;
+    Bitmap readyPos;
+
+    /** Parked-load bits, same indexing; disjoint from readyPos. */
+    Bitmap parkedPos;
 };
 
 /**

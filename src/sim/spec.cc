@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "core/sct.hh"
 #include "sim/presets.hh"
 
 namespace msp {
@@ -210,7 +211,8 @@ buildRegistry()
 
     // -- capacities ----------------------------------------------------------
     r.push_back(u32Param("iq.size", &CoreParams::iqSize, 1, 1u << 16,
-                         "issue-queue entries"));
+                         "issue-queue entries (at most 256 on an MSP "
+                         "machine: one RelIQ use-bit row per entry)"));
     r.push_back(u32Param("rob.size", &CoreParams::robSize, 1, 1u << 16,
                          "reorder-buffer entries (baseline)"));
     r.push_back(u32Param("regs.int", &CoreParams::numIntPhys, 1, 1u << 20,
@@ -455,6 +457,16 @@ setParamFromString(MachineConfig &m, const std::string &key,
     const ParamValue v = valueFromText(*p, value);
     validate(*p, v);
     p->set(m, v);
+}
+
+void
+checkSpec(const MachineConfig &m)
+{
+    if (m.core.kind == CoreKind::Msp && m.core.iqSize > maxIqSlots) {
+        throw SpecError(csprintf("iq.size: %u exceeds the %u RelIQ rows "
+                                 "of an MSP machine (kind msp)",
+                                 m.core.iqSize, maxIqSlots));
+    }
 }
 
 bool

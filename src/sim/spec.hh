@@ -110,6 +110,15 @@ void setParam(MachineConfig &m, const std::string &key,
 void setParamFromString(MachineConfig &m, const std::string &key,
                         const std::string &value);
 
+/**
+ * Check the constraints between parameters that no single key's range
+ * can express: an MSP machine's IQ is at most maxIqSlots (256) entries,
+ * the rows of its RelIQ use-bit matrix. Call it once a spec is
+ * complete; setParam checks one key at a time, in any order.
+ * @throws SpecError naming the key on any violation.
+ */
+void checkSpec(const MachineConfig &m);
+
 /** Canonical text form of a value (bit-exact for doubles). */
 std::string paramValueStr(const ParamValue &v);
 

@@ -461,11 +461,13 @@ parseRepros(const std::string &text)
             spec.snapshotEvery = json::getU64(obj, "snapshot_every", 0);
             spec.firstBadCommit = json::getU64(obj, "first_bad_commit", 0);
             // The full machine spec wins over the cosmetic preset
-            // name. An unparseable spec propagates as SpecError — a
-            // repro that silently fell back to a preset could replay a
-            // different machine and lie about the divergence.
+            // name. An unparseable or unbuildable spec propagates as
+            // SpecError — a repro that silently fell back to a preset
+            // could replay a different machine and lie about the
+            // divergence.
             if (const json::Value *m = json::getObject(obj, "machine")) {
                 spec.machine = specFromJson(*m, PredictorKind::Gshare);
+                checkSpec(spec.machine);
                 spec.hasMachine = true;
             }
             if (const json::Value *mix = json::getObject(obj, "mix"))

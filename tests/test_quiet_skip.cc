@@ -7,7 +7,8 @@
  * per call and so never skips. It must match one whole run(N) in every
  * RunResult field, every PathEvents counter and every StatGroup counter,
  * across the core families, LCS latencies, the timing knobs, warmup,
- * the exception path and both predictors. Also here: the replicated
+ * the exception path, narrow issue with parked loads and both
+ * predictors. Also here: the replicated
  * rename-stall counters pinned to their stepped values, a floor on how
  * much the skip saves, and the resumed-run deadlock window.
  */
@@ -175,6 +176,31 @@ TEST(QuietSkip, ExactAcrossTimingKnobs)
             expectSkipIsExact(std::string("gcc/") + cfg.name + "/" + key +
                                   "=" + value,
                               cfg, spec::build("gcc", 1));
+        }
+    }
+}
+
+TEST(QuietSkip, ExactWithParkedLoadsAtNarrowIssue)
+{
+    // Store-blocked loads wait parked, out of select, so a cycle whose
+    // only issue candidates are parked loads is quiet, and the skip
+    // counts their store-queue re-probes for every skipped cycle. One
+    // and two issue slots also stop the stepped walk at its width
+    // break in front of parked loads.
+    for (const char *width : {"1", "2"}) {
+        for (const char *w : {"swim", "applu"}) {
+            for (MachineConfig cfg : {baselineConfig(PredictorKind::Tage),
+                                      cprConfig(PredictorKind::Tage),
+                                      nspConfig(16, PredictorKind::Tage)}) {
+                setParamFromString(cfg, "width.issue", width);
+                const RunOutcome o = expectSkipIsExact(
+                    std::string(w) + "/" + cfg.name + "/width.issue=" +
+                        width,
+                    cfg, spec::build(w, 1));
+                EXPECT_GT(o.events.sqProbe[static_cast<unsigned>(
+                              ForwardResult::Kind::Unknown)],
+                          0u);
+            }
         }
     }
 }

@@ -378,6 +378,57 @@ TEST(SpecDiff, DescribesOverridesAgainstTheNearestPreset)
     EXPECT_EQ(presetNameFor(m), "");
 }
 
+TEST(SpecCheck, MspIqBeyondTheRelIqRowsIsAUserError)
+{
+    // The RelIQ keeps one use-bit row per IQ entry, 256 of them; the
+    // registry's iq.size range is the flat-file cores'. A larger MSP IQ
+    // is rejected naming the key and the limit, never built.
+    MachineConfig m = presetByName("16sp", PredictorKind::Gshare);
+    setParamFromString(m, "iq.size", "256");
+    EXPECT_NO_THROW(checkSpec(m));
+    setParamFromString(m, "iq.size", "300");
+    try {
+        checkSpec(m);
+        FAIL() << "MSP iq.size=300 accepted";
+    } catch (const SpecError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("iq.size"), std::string::npos) << what;
+        EXPECT_NE(what.find("256 RelIQ rows"), std::string::npos) << what;
+    }
+    for (const char *flat : {"baseline", "cpr"}) {
+        MachineConfig f = presetByName(flat, PredictorKind::Gshare);
+        setParamFromString(f, "iq.size", "65536");
+        EXPECT_NO_THROW(checkSpec(f)) << flat;
+    }
+
+    // Through the CLI it is a CliError (exit 2) on the MSP rungs only,
+    // whether --set or a --machine file asks for it.
+    driver::CliOptions o;
+    o.configNames = {"16sp"};
+    o.sets = {"iq.size=300"};
+    try {
+        driver::resolveMachines(o);
+        FAIL() << "--set iq.size=300 accepted on 16sp";
+    } catch (const driver::CliError &e) {
+        EXPECT_NE(std::string(e.what()).find("iq.size"), std::string::npos)
+            << e.what();
+    }
+    o.configNames = {"baseline", "cpr"};
+    EXPECT_EQ(driver::resolveMachines(o).size(), 2u);
+
+    const std::string path = "/tmp/msp_test_big_msp_iq.json";
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs("{\"base\": \"ideal\", \"iq.size\": 512}", f);
+        std::fclose(f);
+    }
+    driver::CliOptions file;
+    file.machinePath = path;
+    EXPECT_THROW(driver::resolveMachines(file), driver::CliError);
+    std::remove(path.c_str());
+}
+
 TEST(SpecCli, SetOverridesMachineFileOverridesPreset)
 {
     // A spec file that itself overrides its base preset...

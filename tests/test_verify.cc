@@ -681,6 +681,12 @@ TEST(VerifyReport, ParseReprosErrorsLoudlyOnUnparseableMachineSpecs)
         "{\"verify\": {\"repros\": [{\"kind\": \"stream\", \"seed\": 1, "
         "\"machine\": {\"width.fetch\": 0}}]}}";
     EXPECT_THROW(verify::parseRepros(badRange), SpecError);
+
+    // Valid key by key, but no MSP core can build a 300-entry IQ.
+    const std::string unbuildable =
+        "{\"verify\": {\"repros\": [{\"kind\": \"stream\", \"seed\": 1, "
+        "\"machine\": {\"base\": \"16sp\", \"iq.size\": 300}}]}}";
+    EXPECT_THROW(verify::parseRepros(unbuildable), SpecError);
 }
 
 // The acceptance property of the MachineSpec redesign: a divergence

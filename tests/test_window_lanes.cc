@@ -21,6 +21,7 @@
 #include "pipeline/dyninst.hh"
 #include "pipeline/window_lanes.hh"
 #include "sim/presets.hh"
+#include "sim/spec.hh"
 #include "verify/fuzzer.hh"
 #include "verify/oracle.hh"
 #include "workload/spec.hh"
@@ -39,6 +40,7 @@ struct NaiveEntry
     unsigned char fu;
     unsigned pending;
     bool ready;
+    bool parked = false;
 };
 
 /** Assert the SoA lanes agree with the naive model, field by field. */
@@ -53,6 +55,7 @@ expectEquiv(const WindowLanes &iq, const std::vector<NaiveEntry> &model)
     ASSERT_EQ(live.size(), model.size());
 
     bool anyReady = false;
+    unsigned parked = 0;
     for (std::size_t i = 0; i < model.size(); ++i) {
         const int s = live[i];
         const NaiveEntry &e = model[i];
@@ -63,10 +66,14 @@ expectEquiv(const WindowLanes &iq, const std::vector<NaiveEntry> &model)
         EXPECT_EQ(iq.fuOf(s), e.fu);
         EXPECT_EQ(iq.pendingOf(s), e.pending);
         EXPECT_EQ(iq.ready(s), e.ready);
+        EXPECT_EQ(iq.isParked(s), e.parked);
         EXPECT_EQ(e.d->iqSlot, s);
         anyReady |= e.ready;
+        parked += e.parked;
     }
     EXPECT_EQ(iq.anyReady(), anyReady);
+    EXPECT_EQ(iq.parked(), parked);
+    EXPECT_EQ(iq.auditBitmaps(), "");
 
     // The select iterator yields exactly the ready entries, oldest
     // first.
@@ -254,6 +261,259 @@ TEST(WindowLanes, AgeListCompactionPreservesOrderUnderChurn)
 }
 
 // ---------------------------------------------------------------------------
+// Parked loads: a load whose store-queue probe is blocked leaves the
+// ready bitmap for the parked one at the same age position, and returns
+// when a store older than it resolves.
+// ---------------------------------------------------------------------------
+
+/** Fill a fresh queue with @p n ready entries; returns them oldest first. */
+std::vector<DynInst *>
+fillReady(WindowLanes &iq, std::deque<DynInst> &storage, unsigned n)
+{
+    std::vector<DynInst *> out;
+    for (unsigned i = 0; i < n; ++i) {
+        storage.emplace_back();
+        DynInst &d = storage.back();
+        d.seq = storage.size();
+        const int slot = iq.insert(&d);
+        iq.fillTags(slot, noReg, noReg, 0);
+        iq.setPending(slot, 0);
+        out.push_back(&d);
+    }
+    return out;
+}
+
+TEST(WindowLanes, ParkUnparkAndRemoveKeepTheCounts)
+{
+    WindowLanes iq(8);
+    std::deque<DynInst> storage;
+    const std::vector<DynInst *> e = fillReady(iq, storage, 6);
+
+    iq.park(e[2]->iqSlot);
+    iq.park(e[4]->iqSlot);
+    EXPECT_FALSE(iq.ready(e[2]->iqSlot));
+    EXPECT_TRUE(iq.isParked(e[2]->iqSlot));
+    EXPECT_TRUE(iq.isParked(e[4]->iqSlot));
+    EXPECT_EQ(iq.parked(), 2u);
+    EXPECT_EQ(iq.auditBitmaps(), "");
+
+    // A store older than both resolves: both come back, oldest first.
+    iq.unparkYoungerThan(e[3]->iqSlot);   // only e[4] is younger
+    EXPECT_TRUE(iq.isParked(e[2]->iqSlot));
+    EXPECT_TRUE(iq.ready(e[4]->iqSlot));
+    EXPECT_EQ(iq.parked(), 1u);
+    iq.unparkYoungerThan(e[0]->iqSlot);
+    EXPECT_TRUE(iq.ready(e[2]->iqSlot));
+    EXPECT_EQ(iq.parked(), 0u);
+
+    // A squash removes a parked entry; its bit and count go with it.
+    iq.park(e[5]->iqSlot);
+    iq.remove(e[5]);
+    EXPECT_EQ(iq.parked(), 0u);
+    EXPECT_EQ(iq.parkedBetween(0, iq.ageOrder().size()), 0u);
+    EXPECT_EQ(iq.auditBitmaps(), "");
+
+    // Only a ready entry can park.
+    storage.emplace_back();
+    DynInst &w = storage.back();
+    w.seq = storage.size();
+    iq.insert(&w);
+    iq.setPending(w.iqSlot, 1);
+    EXPECT_DEATH(iq.park(w.iqSlot), "park of unready");
+}
+
+TEST(WindowLanes, ParkedBitsMoveWithTheirEntriesOnCompaction)
+{
+    constexpr unsigned capacity = 8;
+    WindowLanes iq(capacity);
+    std::deque<DynInst> storage;
+    std::vector<DynInst *> live = fillReady(iq, storage, capacity);
+    std::vector<bool> parked(storage.size() + 64, false);
+    for (int round = 0; round < 200; ++round) {
+        // Park every other live entry that is still ready.
+        for (std::size_t i = round % 2; i < live.size(); i += 2) {
+            if (iq.ready(live[i]->iqSlot)) {
+                iq.park(live[i]->iqSlot);
+                parked[live[i]->seq] = true;
+            }
+        }
+        // Two leave from the front, so inserts must compact the holes.
+        for (int k = 0; k < 2; ++k) {
+            iq.remove(live.front());
+            live.erase(live.begin());
+        }
+        for (DynInst *d : fillReady(iq, storage, 2))
+            live.push_back(d);
+        parked.resize(storage.size() + 64, false);
+        unsigned want = 0;
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            const bool p = parked[live[i]->seq];
+            want += p;
+            EXPECT_EQ(iq.isParked(live[i]->iqSlot), p) << round;
+            EXPECT_EQ(iq.parkedBetween(0, live[i]->iqOrderIdx + 1u),
+                      [&] {
+                          unsigned n = 0;
+                          for (std::size_t j = 0; j <= i; ++j)
+                              n += parked[live[j]->seq];
+                          return n;
+                      }())
+                << round;
+        }
+        EXPECT_EQ(iq.parked(), want);
+        ASSERT_EQ(iq.auditBitmaps(), "") << round;
+    }
+}
+
+TEST(WindowLanes, ParkedBetweenCountsAcrossWordBoundaries)
+{
+    constexpr unsigned capacity = 200;
+    WindowLanes iq(capacity);
+    std::deque<DynInst> storage;
+    const std::vector<DynInst *> e = fillReady(iq, storage, capacity);
+    const std::vector<unsigned> parkedAt = {0, 1, 62, 63, 64, 65, 127,
+                                            128, 129, 190, 199};
+    std::vector<bool> isParked(capacity, false);
+    for (const unsigned pos : parkedAt) {
+        iq.park(e[pos]->iqSlot);
+        isParked[pos] = true;
+    }
+    for (std::size_t from = 0; from <= capacity; ++from) {
+        unsigned want = 0;
+        for (std::size_t to = from; to <= capacity; ++to) {
+            EXPECT_EQ(iq.parkedBetween(from, to), want)
+                << "[" << from << ", " << to << ")";
+            if (to < capacity)
+                want += isParked[to];
+        }
+    }
+    // Unparking from the middle of a word crosses the later words too.
+    iq.unparkYoungerThan(e[63]->iqSlot);
+    EXPECT_EQ(iq.parked(), 4u);   // 0, 1, 62, 63 stay
+    EXPECT_EQ(iq.parkedBetween(0, capacity), 4u);
+    EXPECT_EQ(iq.parkedBetween(64, capacity), 0u);
+    EXPECT_EQ(iq.auditBitmaps(), "");
+}
+
+TEST(WindowLanes, SelectWalkReachesEntriesUnparkedInItsWord)
+{
+    // The walk at a store unparks younger loads, both in the word it is
+    // walking and in later words; it must still yield every one of them
+    // in age order, and never yield the entry it just parked.
+    WindowLanes iq(128);
+    std::deque<DynInst> storage;
+    const std::vector<DynInst *> e = fillReady(iq, storage, 100);
+    for (const unsigned pos : {3u, 5u, 6u, 70u, 99u})
+        iq.park(e[pos]->iqSlot);
+    std::vector<int> want;   // everything but e[3], older than the store
+    for (unsigned i = 0; i < 100; ++i)
+        if (i != 3)
+            want.push_back(e[i]->iqSlot);
+
+    std::vector<int> yielded;
+    for (const int slot : iq.readyOldestFirst()) {
+        yielded.push_back(slot);
+        const DynInst *d = iq.at(slot);
+        if (d == e[1]) {
+            iq.park(slot);   // a load that just found itself blocked
+        } else if (d == e[4]) {
+            iq.unparkYoungerThan(slot);   // a store resolving at issue
+            iq.remove(e[4]);
+        }
+    }
+    EXPECT_EQ(yielded, want);
+    EXPECT_TRUE(iq.isParked(e[1]->iqSlot));
+    EXPECT_TRUE(iq.isParked(e[3]->iqSlot));
+    EXPECT_EQ(iq.parked(), 2u);
+    EXPECT_EQ(iq.auditBitmaps(), "");
+}
+
+TEST(WindowLanes, RandomOpsWithParkingMatchTheNaiveModel)
+{
+    // Spans several bitmap words so unpark and parkedBetween cross
+    // word boundaries; churn forces compaction.
+    constexpr unsigned capacity = 150;
+    std::mt19937 rng(777);
+    WindowLanes iq(capacity);
+    std::deque<DynInst> storage;
+    std::vector<NaiveEntry> model;
+    SeqNum nextSeq = 1;
+
+    for (int op = 0; op < 20000; ++op) {
+        const unsigned pick = rng() % 100;
+        if (pick < 35) {
+            if (!iq.full()) {
+                storage.emplace_back();
+                DynInst &d = storage.back();
+                d.seq = nextSeq++;
+                const int slot = iq.insert(&d);
+                iq.fillTags(slot, 1, 2, 0);
+                const unsigned pending = rng() % 2;
+                iq.setPending(slot, pending);
+                model.push_back(NaiveEntry{&d, d.seq, 1, 2, 0, pending,
+                                           pending == 0});
+            }
+        } else if (pick < 50) {
+            for (NaiveEntry &e : model) {
+                if (e.pending > 0 && rng() % 4 == 0) {
+                    iq.wakeSrc(e.d->iqSlot);
+                    e.pending = 0;
+                    e.ready = true;
+                }
+            }
+        } else if (pick < 65) {
+            // A ready load probes the store queue and finds it blocked.
+            std::vector<std::size_t> ready;
+            for (std::size_t i = 0; i < model.size(); ++i)
+                if (model[i].ready)
+                    ready.push_back(i);
+            if (!ready.empty()) {
+                NaiveEntry &e = model[ready[rng() % ready.size()]];
+                iq.park(e.d->iqSlot);
+                e.ready = false;
+                e.parked = true;
+            }
+        } else if (pick < 75) {
+            // A store at a random live position resolves.
+            if (!model.empty()) {
+                const std::size_t at = rng() % model.size();
+                iq.unparkYoungerThan(model[at].d->iqSlot);
+                for (std::size_t i = at + 1; i < model.size(); ++i) {
+                    if (model[i].parked) {
+                        model[i].parked = false;
+                        model[i].ready = true;
+                    }
+                }
+            }
+        } else if (pick < 90) {
+            // Issue or squash of a random entry, parked ones included.
+            if (!model.empty()) {
+                const std::size_t at = rng() % model.size();
+                iq.remove(model[at].d);
+                model.erase(model.begin() +
+                            static_cast<std::ptrdiff_t>(at));
+            }
+        } else {
+            std::size_t k = model.empty() ? 0 : rng() % model.size();
+            while (k-- > 0 && !model.empty()) {
+                iq.remove(model.back().d);
+                model.pop_back();
+            }
+        }
+        expectEquiv(iq, model);
+        // parkedBetween over a random position range.
+        const std::size_t len = iq.ageOrder().size();
+        const std::size_t a = len == 0 ? 0 : rng() % (len + 1);
+        const std::size_t b = a + (len == 0 ? 0 : rng() % (len - a + 1));
+        unsigned want = 0;
+        for (std::size_t pos = a; pos < b; ++pos) {
+            const std::int32_t s = iq.ageOrder()[pos];
+            want += s >= 0 && iq.isParked(s);
+        }
+        ASSERT_EQ(iq.parkedBetween(a, b), want) << op;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Ladder anchor: the SoA window and event-driven wakeup must be
 // cycle-exact with the pre-refactor polling core. The differential runs
 // prove stream correctness; the pinned cycle counts prove the *timing*
@@ -298,8 +558,20 @@ TEST(WindowLanes, FullLadderIsCleanAndCycleExact)
 // (msp.portConflicts). Coverage and the lsq.* report rows read those
 // per-attempt counters, so how the loop orders its checks or caches
 // per-instruction work must never move them. swim and applu keep
-// sqProbe[Unknown] and the port conflicts non-zero.
+// sqProbe[Unknown] and the port conflicts non-zero. Store-blocked loads
+// are parked and their re-probes counted arithmetically; the last four
+// runs (one issue slot, one memory unit) stop the select walk at its
+// width break with parked loads behind it. All values were recorded
+// from the core that re-probed every blocked load every cycle.
 // ---------------------------------------------------------------------------
+
+MachineConfig
+withKnob(MachineConfig cfg, const char *key, const char *value)
+{
+    setParamFromString(cfg, key, value);
+    cfg.name += std::string("+") + key + "=" + value;
+    return cfg;
+}
 
 TEST(WindowLanes, IssueAttemptCountersArePinned)
 {
@@ -321,6 +593,14 @@ TEST(WindowLanes, IssueAttemptCountersArePinned)
         {"applu", cprConfig(p), 3258, 5093, {1009, 740, 0, 2338}, 0},
         {"applu", nspConfig(16, p), 3000, 6739, {1521, 603, 0, 19130},
          2241},
+        {"swim", withKnob(nspConfig(16, p), "width.issue", "1"), 3020,
+         8047, {320, 266, 0, 3042}, 0},
+        {"swim", withKnob(nspConfig(16, p), "fu.mem", "1"), 3008, 7516,
+         {1741, 1010, 0, 25279}, 634},
+        {"swim", withKnob(cprConfig(p), "width.issue", "1"), 3244, 6765,
+         {212, 416, 0, 3390}, 0},
+        {"swim", withKnob(cprConfig(p), "fu.mem", "1"), 3244, 6094,
+         {1636, 1506, 0, 87714}, 0},
     };
 
     std::uint64_t unknownProbes = 0, conflicts = 0;

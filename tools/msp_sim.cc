@@ -426,15 +426,18 @@ runMatrix(const CliOptions &o)
         // --set applies on top of every expanded point, the same
         // precedence it has over presets and --machine files; a point
         // whose spec actually changed is relabelled with its
-        // describeSpec() identity so the grid label cannot lie.
-        if (!o.sets.empty()) {
+        // describeSpec() identity so the grid label cannot lie. Each
+        // finished point must then be buildable (checkMachine).
+        {
             std::vector<MachineConfig> machines;
             machines.reserve(g.points.size());
             for (const grid::GridPoint &pt : g.points)
                 machines.push_back(pt.machine);
             applySpecSets(machines, o.sets);
-            for (std::size_t i = 0; i < machines.size(); ++i)
-                g.points[i].machine = machines[i];
+            for (std::size_t i = 0; i < machines.size(); ++i) {
+                checkMachine(machines[i]);
+                g.points[i].machine = std::move(machines[i]);
+            }
         }
         const bool bound =
             !g.points.empty() && !g.points.front().workload.empty();
@@ -657,6 +660,7 @@ runVerifyNamed(const CliOptions &o)
                                         "workload.trace axis",
                                         g.name.c_str()));
             }
+            checkMachine(pt.machine);
             jobs.push_back({pt.workload, pt.hasSeed ? pt.seed : o.seed,
                             pt.machine});
         }
@@ -665,6 +669,8 @@ runVerifyNamed(const CliOptions &o)
         if (o.configNames.empty() && o.machinePath.empty()) {
             configs = figureLadder(o.predictor);
             applySpecSets(configs, o.sets);
+            for (const MachineConfig &m : configs)
+                checkMachine(m);
         } else {
             configs = resolveMachines(o);
         }
@@ -728,6 +734,8 @@ runVerify(const CliOptions &o)
     if (o.configNames.empty() && o.machinePath.empty()) {
         configs = figureLadder(o.predictor);
         applySpecSets(configs, o.sets);
+        for (const MachineConfig &m : configs)
+            checkMachine(m);
     } else {
         configs = resolveMachines(o);
     }
