@@ -10,9 +10,7 @@ CprCore::CprCore(const CoreParams &p, const Program &program,
                  PredictorKind predictor, StatGroup &statGroup)
     : CoreBase(p, program, predictor, statGroup),
       ckptSlots(p.numCheckpoints),
-      rollbacksStat(statGroup.add("cpr.rollbacks", "checkpoint rollbacks")),
-      reExecWindowStat(statGroup.add("cpr.squashedCorrectPath",
-                                     "correct-path insts squashed"))
+      rollbacksStat(statGroup.add("cpr.rollbacks", "checkpoint rollbacks"))
 {
     // doCommit retires the oldest checkpoint only once a younger one
     // bounds it, so a single checkpoint could never commit.

@@ -108,7 +108,6 @@ class CprCore : public CoreBase
     Override ovr;
 
     Stat &rollbacksStat;
-    Stat &reExecWindowStat;
 };
 
 } // namespace msp

@@ -196,25 +196,10 @@ simResultToJson(const RunResult &r)
                     json::escape(r.workload).c_str());
     out += csprintf("\"config\": \"%s\", ",
                     json::escape(r.config).c_str());
-    const auto u64 = [&](const char *name, std::uint64_t v) {
-        out += csprintf("\"%s\": %llu, ", name,
-                        static_cast<unsigned long long>(v));
-    };
-    u64("cycles", r.cycles);
-    u64("committed", r.committed);
-    u64("wrong_path_exec", r.wrongPathExec);
-    u64("re_executed", r.reExecuted);
-    u64("total_executed", r.totalExecuted);
-    u64("branches", r.branches);
-    u64("mispredicts", r.mispredicts);
-    u64("recoveries", r.recoveries);
-    u64("exceptions", r.exceptions);
-    u64("rename_stall_cycles", r.renameStallCycles);
-    u64("reg_stall_cycles", r.regStallCycles);
-    u64("sq_stall_cycles", r.sqStallCycles);
-    u64("iq_stall_cycles", r.iqStallCycles);
-    u64("checkpoints_taken", r.checkpointsTaken);
-    u64("l2_misses", r.l2Misses);
+    for (const RunCounter &c : runCounters) {
+        out += csprintf("\"%s\": %llu, ", c.name,
+                        static_cast<unsigned long long>(r.*c.member));
+    }
     out += "\"bank_stall_cycles\": [";
     for (std::size_t i = 0; i < r.bankStallCycles.size(); ++i) {
         out += csprintf("%s%llu", i ? ", " : "",
@@ -228,26 +213,12 @@ simResultToJson(const RunResult &r)
 RunResult
 simResultFromJson(const std::string &text)
 {
-    using json::getU64;
     const json::Value doc = json::parse(text);
     RunResult r;
     r.workload = json::getStr(doc, "workload");
     r.config = json::getStr(doc, "config");
-    r.cycles = getU64(doc, "cycles", 0);
-    r.committed = getU64(doc, "committed", 0);
-    r.wrongPathExec = getU64(doc, "wrong_path_exec", 0);
-    r.reExecuted = getU64(doc, "re_executed", 0);
-    r.totalExecuted = getU64(doc, "total_executed", 0);
-    r.branches = getU64(doc, "branches", 0);
-    r.mispredicts = getU64(doc, "mispredicts", 0);
-    r.recoveries = getU64(doc, "recoveries", 0);
-    r.exceptions = getU64(doc, "exceptions", 0);
-    r.renameStallCycles = getU64(doc, "rename_stall_cycles", 0);
-    r.regStallCycles = getU64(doc, "reg_stall_cycles", 0);
-    r.sqStallCycles = getU64(doc, "sq_stall_cycles", 0);
-    r.iqStallCycles = getU64(doc, "iq_stall_cycles", 0);
-    r.checkpointsTaken = getU64(doc, "checkpoints_taken", 0);
-    r.l2Misses = getU64(doc, "l2_misses", 0);
+    for (const RunCounter &c : runCounters)
+        r.*c.member = json::getU64(doc, c.name, 0);
     if (const json::Value *banks = json::getArray(doc, "bank_stall_cycles")) {
         if (banks->items.size() > r.bankStallCycles.size()) {
             throw json::JsonError(csprintf(

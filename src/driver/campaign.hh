@@ -201,6 +201,38 @@ class SimCampaign
  */
 std::string simJobKey(const CampaignJob &job);
 
+/** One RunResult counter under the name reports and checkpoints use. */
+struct RunCounter
+{
+    const char *name;
+    std::uint64_t RunResult::*member;
+    bool reported;   ///< false: carried in checkpoints, not report rows
+};
+
+/**
+ * Every RunResult counter, in report order: the one field list of the
+ * report writer (driver/report.cc), which interleaves the derived ipc
+ * and mispredict_rate, and of the checkpoint codec below, which adds
+ * bank_stall_cycles.
+ */
+inline constexpr RunCounter runCounters[] = {
+    {"cycles", &RunResult::cycles, true},
+    {"committed", &RunResult::committed, true},
+    {"branches", &RunResult::branches, true},
+    {"mispredicts", &RunResult::mispredicts, true},
+    {"recoveries", &RunResult::recoveries, true},
+    {"wrong_path_exec", &RunResult::wrongPathExec, true},
+    {"re_executed", &RunResult::reExecuted, true},
+    {"total_executed", &RunResult::totalExecuted, true},
+    {"rename_stall_cycles", &RunResult::renameStallCycles, true},
+    {"reg_stall_cycles", &RunResult::regStallCycles, true},
+    {"sq_stall_cycles", &RunResult::sqStallCycles, true},
+    {"iq_stall_cycles", &RunResult::iqStallCycles, true},
+    {"checkpoints_taken", &RunResult::checkpointsTaken, true},
+    {"l2_misses", &RunResult::l2Misses, true},
+    {"exceptions", &RunResult::exceptions, false},
+};
+
 /**
  * Serialise / parse one RunResult as the checkpoint payload. Integer
  * counters and escaped strings only — the round trip is exact, so a

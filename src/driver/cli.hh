@@ -3,6 +3,17 @@
  * msp_sim command-line parsing, split from the binary so the argument
  * grammar and its error paths are unit-testable (tests/test_cli.cc).
  *
+ * The grammar is one static flag table (cli.cc): each row names a flag,
+ * parses its value into CliOptions through the checked parse*Flag
+ * helpers, and lists the invocation shapes that read it. The shapes
+ * are a scenario, matrix, matrix --grid, the fuzzed verify sweep,
+ * verify --workloads, verify --grid, verify --repro, spec, trace,
+ * bench and merge. A flag given to a shape its row does not list is
+ * rejected, so no mode silently ignores a flag. usageText() sits next
+ * to the table, and a test checks the two against each other.
+ *
+ * Machine selection has one path too: resolveMachines().
+ *
  * Parsing never exits the process: every user error throws CliError,
  * which tools/msp_sim.cc turns into a message plus usage text.
  */
@@ -18,6 +29,11 @@
 #include "sim/machine.hh"
 
 namespace msp {
+
+namespace grid {
+struct Grid;
+} // namespace grid
+
 namespace driver {
 
 /** A user error in the command line (bad flag, bad value, bad combo). */
@@ -125,27 +141,40 @@ void applySpecSets(std::vector<MachineConfig> &machines,
 void checkMachine(const MachineConfig &m);
 
 /**
- * Materialise the machine list of a parsed invocation with the
- * documented precedence: presets named by --configs, then the
- * --machine FILE spec (parsed through sim/spec.hh), then every --set
- * override applied on top of all of them; each result passes
- * checkMachine().
+ * The one machine path of an invocation. The base machines are the
+ * points of @p points when given (a --grid run); otherwise the presets
+ * named by --configs, then the --machine FILE spec (parsed through
+ * sim/spec.hh), or, when neither names a machine, the figureLadder()
+ * of --predictor. Every --set override then applies on top of each
+ * (relabelling a machine whose spec changed), and each result passes
+ * checkMachine(). Grid points receive their finished machines.
  * @throws CliError on unreadable/unparseable specs, bad overrides or
  *         machines no core can build.
  */
-std::vector<MachineConfig> resolveMachines(const CliOptions &o);
+std::vector<MachineConfig> resolveMachines(const CliOptions &o,
+                                           grid::Grid *points = nullptr);
+
+/** Every flag of the parser's table, in table order. */
+std::vector<std::string> flagNames();
+
+/** The --help text; it documents every flag of the table. */
+const char *usageText();
 
 /**
  * Parse and validate argv[1..] (program name excluded).
  *
- * Validation is mode-aware: matrix requires --workloads/--configs (or
- * a --grid document), verify accepts --seeds/--mixes/--configs for the
- * fuzzed sweep or --workloads/--grid for deterministic named-workload
- * verification, trace takes exactly one --workloads name, and scenario
- * modes reject every matrix/verify-only flag so a mislabelled sweep
- * cannot run silently. Unknown scenario names are rejected here
- * against the scenario registry; workload names are checked against
- * the workload registry.
+ * Each argument is looked up in the flag table, which parses its
+ * value. The mode and the switching flags (--grid, --workloads,
+ * --repro) then give the invocation shape, and any flag whose row does
+ * not list that shape is rejected with a message naming both. Explicit
+ * checks remain only for rules that span flags: --grid excludes
+ * --configs and --machine; --checkpoint-every needs --checkpoint or
+ * --resume; --corpus, --waves and --tune need --coverage, which in
+ * turn excludes --checkpoint, --resume and --shard; matrix needs
+ * workloads and a machine (or a grid), spec exactly one machine, trace
+ * exactly one workload and merge at least one report; bench takes only
+ * --threads 1. Scenario, preset, workload and mix names and every --set
+ * override are checked against their registries.
  *
  * @throws CliError on any user error.
  */

@@ -46,7 +46,7 @@ fieldsOf(const JobResult &jr, bool withMachine)
     auto raw = [](const char *n, std::string v) {
         return Field{n, Field::Json, std::move(v)};
     };
-    return {
+    std::vector<Field> fields = {
         u64("index", jr.index),
         str("scenario", jr.job.scenario),
         str("workload", r.workload),
@@ -61,23 +61,18 @@ fieldsOf(const JobResult &jr, bool withMachine)
         u64("seed", jr.job.seed),
         u64("max_insts",
             jr.job.maxInsts ? jr.job.maxInsts : defaultInstBudget),
-        u64("cycles", r.cycles),
-        u64("committed", r.committed),
-        f64("ipc", r.ipc()),
-        u64("branches", r.branches),
-        u64("mispredicts", r.mispredicts),
-        f64("mispredict_rate", r.mispredictRate()),
-        u64("recoveries", r.recoveries),
-        u64("wrong_path_exec", r.wrongPathExec),
-        u64("re_executed", r.reExecuted),
-        u64("total_executed", r.totalExecuted),
-        u64("rename_stall_cycles", r.renameStallCycles),
-        u64("reg_stall_cycles", r.regStallCycles),
-        u64("sq_stall_cycles", r.sqStallCycles),
-        u64("iq_stall_cycles", r.iqStallCycles),
-        u64("checkpoints_taken", r.checkpointsTaken),
-        u64("l2_misses", r.l2Misses),
     };
+    for (const RunCounter &c : runCounters) {
+        if (!c.reported)
+            continue;
+        fields.push_back(u64(c.name, r.*c.member));
+        // Each derived ratio follows the counter it divides.
+        if (c.member == &RunResult::committed)
+            fields.push_back(f64("ipc", r.ipc()));
+        else if (c.member == &RunResult::mispredicts)
+            fields.push_back(f64("mispredict_rate", r.mispredictRate()));
+    }
+    return fields;
 }
 
 std::string

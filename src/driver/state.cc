@@ -14,27 +14,6 @@ namespace {
 
 std::atomic<bool> gCampaignStop{false};
 
-/** One complete line per entry; a missing trailing \n marks a tear. */
-std::vector<std::string>
-splitLines(const std::string &content, bool &lastComplete)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < content.size()) {
-        const std::size_t nl = content.find('\n', start);
-        if (nl == std::string::npos) {
-            lines.push_back(content.substr(start));
-            lastComplete = false;
-            return lines;
-        }
-        if (nl > start)
-            lines.push_back(content.substr(start, nl - start));
-        start = nl + 1;
-    }
-    lastComplete = true;
-    return lines;
-}
-
 std::string
 renderRecord(std::uint64_t index, const std::string &key,
              const std::string &payload)
@@ -56,6 +35,56 @@ stateHash(const std::string &s)
         h *= 1099511628211ull;
     }
     return csprintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+std::size_t
+readTornTailJsonl(const std::string &content, const std::string &what,
+                  const std::string &path,
+                  const std::function<void(const std::string &)> &header,
+                  const std::function<bool(const std::string &)> &record)
+{
+    // One complete line per entry; a missing trailing \n marks a tear.
+    std::vector<std::string> lines;
+    bool lastComplete = true;
+    for (std::size_t start = 0; start < content.size();) {
+        const std::size_t nl = content.find('\n', start);
+        if (nl == std::string::npos) {
+            lines.push_back(content.substr(start));
+            lastComplete = false;
+            break;
+        }
+        if (nl > start)
+            lines.push_back(content.substr(start, nl - start));
+        start = nl + 1;
+    }
+    if (lines.empty())
+        throw CheckpointError(what + " " + path + " is empty");
+    header(lines.front());
+
+    for (std::size_t li = 1; li < lines.size(); ++li) {
+        const bool isLast = li + 1 == lines.size();
+        bool parsed = false;
+        if (!isLast || lastComplete) {
+            try {
+                parsed = record(lines[li]);
+            } catch (const json::JsonError &) {
+                // A record torn mid-value is "not parsed"; whether that
+                // is recoverable is the trailing-record test's call.
+            }
+        }
+        if (parsed)
+            continue;
+        if (!isLast) {
+            throw CheckpointError(csprintf(
+                "%s %s is corrupt at record %zu (only a torn *trailing* "
+                "record is recoverable)", what.c_str(), path.c_str(), li));
+        }
+        // Quarantine rather than silently discard: the torn bytes land
+        // next to the file for post-mortems.
+        writeFile(path + ".torn", lines[li] + "\n");
+        return 1;
+    }
+    return 0;
 }
 
 std::vector<std::size_t>
@@ -121,78 +150,51 @@ CampaignState::begin(const std::string &campaignMode,
         if (!tryReadFile(resumePath, content)) {
             throw CheckpointError("cannot read checkpoint " + resumePath);
         }
-        bool lastComplete = true;
-        std::vector<std::string> lines = splitLines(content, lastComplete);
-        if (lines.empty())
-            throw CheckpointError("checkpoint " + resumePath +
-                                  " is empty");
-
         // Header: must identify this exact campaign. A garbled
         // header (JsonError) is just as much "not a checkpoint" as a
         // missing version.
-        std::uint64_t version = 0;
-        std::string headMode, headFingerprint;
-        try {
-            const json::Value head = json::parse(lines.front());
-            version = json::getU64(head, "msp_checkpoint", 0);
-            headMode = json::getStr(head, "mode");
-            headFingerprint = json::getStr(head, "fingerprint");
-        } catch (const json::JsonError &) {
-            version = 0;
-        }
-        if (version != 1) {
-            throw CheckpointError(resumePath +
-                                  " is not a checkpoint file");
-        }
-        if (headMode != mode) {
-            throw CheckpointError(csprintf(
-                "checkpoint %s was written by a '%s' campaign, not "
-                "'%s'", resumePath.c_str(), headMode.c_str(),
-                mode.c_str()));
-        }
-        if (headFingerprint != fingerprint) {
-            throw CheckpointError(csprintf(
-                "checkpoint %s belongs to a different campaign "
-                "(fingerprint %s, this run is %s) — same command line, "
-                "machines, seeds and shard required to resume",
-                resumePath.c_str(), headFingerprint.c_str(),
-                fingerprint.c_str()));
-        }
-
-        std::string tornBytes;
-        for (std::size_t li = 1; li < lines.size(); ++li) {
-            const std::string &line = lines[li];
-            const bool isLast = li + 1 == lines.size();
-            std::uint64_t index = ~std::uint64_t{0};
-            std::string key, payload;
+        const auto header = [&](const std::string &line) {
+            std::uint64_t version = 0;
+            std::string headMode, headFingerprint;
             try {
-                const json::Value rec = json::parse(line);
-                index = json::getU64(rec, "index", ~std::uint64_t{0});
-                key = json::getStr(rec, "key");
-                // The payload is kept verbatim: its codec
-                // (simResultFromJson / outcomeFromJson) reads it later.
-                if (const json::Value *p = json::getObject(rec, "payload"))
-                    payload = json::slice(line, *p);
+                const json::Value head = json::parse(line);
+                version = json::getU64(head, "msp_checkpoint", 0);
+                headMode = json::getStr(head, "mode");
+                headFingerprint = json::getStr(head, "fingerprint");
             } catch (const json::JsonError &) {
-                // A record torn mid-value is "not parsed", same as a
-                // record missing a field; the trailing-record test
-                // below decides whether that is recoverable.
+                version = 0;
             }
-
-            const bool parsed = !payload.empty() && !key.empty() &&
-                                index != ~std::uint64_t{0};
-            if (!parsed || (isLast && !lastComplete)) {
-                if (!isLast) {
-                    throw CheckpointError(csprintf(
-                        "checkpoint %s is corrupt at record %zu (only "
-                        "a torn *trailing* record is recoverable)",
-                        resumePath.c_str(), li));
-                }
-                // Torn tail: quarantine the bytes and keep the rest.
-                ++torn;
-                tornBytes = line;
-                break;
+            if (version != 1) {
+                throw CheckpointError(resumePath +
+                                      " is not a checkpoint file");
             }
+            if (headMode != mode) {
+                throw CheckpointError(csprintf(
+                    "checkpoint %s was written by a '%s' campaign, not "
+                    "'%s'", resumePath.c_str(), headMode.c_str(),
+                    mode.c_str()));
+            }
+            if (headFingerprint != fingerprint) {
+                throw CheckpointError(csprintf(
+                    "checkpoint %s belongs to a different campaign "
+                    "(fingerprint %s, this run is %s) — same command "
+                    "line, machines, seeds and shard required to resume",
+                    resumePath.c_str(), headFingerprint.c_str(),
+                    fingerprint.c_str()));
+            }
+        };
+        const auto record = [&](const std::string &line) {
+            const json::Value rec = json::parse(line);
+            const std::uint64_t index =
+                json::getU64(rec, "index", ~std::uint64_t{0});
+            const std::string key = json::getStr(rec, "key");
+            // The payload is kept verbatim: its codec
+            // (simResultFromJson / outcomeFromJson) reads it later.
+            const json::Value *p = json::getObject(rec, "payload");
+            const std::string payload = p ? json::slice(line, *p) : "";
+            if (payload.empty() || key.empty() ||
+                index == ~std::uint64_t{0})
+                return false;
             const auto it = keyByIndex.find(index);
             if (it == keyByIndex.end() || it->second != key) {
                 throw CheckpointError(csprintf(
@@ -202,12 +204,10 @@ CampaignState::begin(const std::string &campaignMode,
                     static_cast<unsigned long long>(index)));
             }
             records[index] = payload;
-        }
-        if (torn > 0) {
-            // Quarantine rather than silently discard: the torn bytes
-            // land next to the checkpoint for post-mortems.
-            writeFile(resumePath + ".torn", tornBytes + "\n");
-        }
+            return true;
+        };
+        torn = readTornTailJsonl(content, "checkpoint", resumePath, header,
+                                 record);
     }
 
     // Rewrite the checkpoint from scratch — atomically — so the file

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,24 @@ std::string stateHash(const std::string &s);
 /** Indices selected by shard @p shard of @p shards (stride layout). */
 std::vector<std::size_t> shardSelect(std::size_t n, unsigned shard,
                                      unsigned shards);
+
+/**
+ * Read the records of a torn-tail JSONL file (a checkpoint or a
+ * corpus): one header line, then one record per line, appended so
+ * that a crash can tear only the trailing record. @p header gets the
+ * first line. @p record gets each later complete line and returns
+ * false, or throws json::JsonError, when it cannot read it. A trailing
+ * record that is unreadable or lacks its newline is quarantined to
+ * @p path + ".torn"; an unreadable record anywhere else is corruption.
+ * @p what names the file kind in errors ("checkpoint", "corpus").
+ * @return the number of quarantined records (0 or 1).
+ * @throws CheckpointError when @p content is empty or corrupt.
+ */
+std::size_t readTornTailJsonl(
+    const std::string &content, const std::string &what,
+    const std::string &path,
+    const std::function<void(const std::string &)> &header,
+    const std::function<bool(const std::string &)> &record);
 
 /**
  * Durable completion state of one campaign run.

@@ -431,7 +431,6 @@ CoreBase::doWritebackStage()
             branchUnit.resolveControl(d.pc, d.si, d.taken,
                                       d.actualNextPc, d.bpSnap);
             if (d.mispredicted) {
-                ++mispredictsResolved;
                 recoverBranch(d);
                 if (lastSquashBoundary < liveBound)
                     liveBound = lastSquashBoundary;

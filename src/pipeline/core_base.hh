@@ -407,7 +407,6 @@ class CoreBase
     std::uint64_t wrongPathExec = 0;
     std::uint64_t reExecuted = 0;
     std::uint64_t branchesCommitted = 0;
-    std::uint64_t mispredictsResolved = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t exceptionsTaken = 0;
     std::uint64_t renameStallCycles = 0;

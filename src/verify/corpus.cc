@@ -15,28 +15,6 @@ namespace verify {
 
 namespace {
 
-/** One complete line per entry; a missing trailing \n marks a tear
- *  (the driver/state checkpoint convention). */
-std::vector<std::string>
-splitLines(const std::string &content, bool &lastComplete)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < content.size()) {
-        const std::size_t nl = content.find('\n', start);
-        if (nl == std::string::npos) {
-            lines.push_back(content.substr(start));
-            lastComplete = false;
-            return lines;
-        }
-        if (nl > start)
-            lines.push_back(content.substr(start, nl - start));
-        start = nl + 1;
-    }
-    lastComplete = true;
-    return lines;
-}
-
 std::string
 renderEntry(const CorpusEntry &e)
 {
@@ -58,80 +36,49 @@ Corpus::load(const std::string &path)
     if (!driver::tryReadFile(path, content))
         return false;   // no file yet: a fresh corpus, not an error
 
-    bool lastComplete = true;
-    const std::vector<std::string> lines =
-        splitLines(content, lastComplete);
-    if (lines.empty())
-        throw driver::CheckpointError("corpus " + path + " is empty");
-
     // Header: a garbled version token is just as much "not a corpus"
     // as a missing one; a shape mismatch means the bitmap layout of
     // this build cannot interpret the stored maps.
-    std::uint64_t version = 0;
-    std::uint64_t features = 0;
-    std::uint64_t buckets = 0;
-    try {
-        const json::Value head = json::parse(lines.front());
-        version = json::getU64(head, "msp_corpus", 0);
-        features = json::getU64(head, "features", 0);
-        buckets = json::getU64(head, "buckets", 0);
-    } catch (const json::JsonError &) {}
-    if (version != 1)
-        throw driver::CheckpointError(path + " is not a corpus file");
-    if (features != CoverageMap::numFeatures ||
-        buckets != CoverageMap::numBuckets) {
-        throw driver::CheckpointError(csprintf(
-            "corpus %s has coverage shape %llu x %llu, this build uses "
-            "%u x %u", path.c_str(),
-            static_cast<unsigned long long>(features),
-            static_cast<unsigned long long>(buckets),
-            CoverageMap::numFeatures, CoverageMap::numBuckets));
-    }
-
-    std::string tornBytes;
-    for (std::size_t li = 1; li < lines.size(); ++li) {
-        const std::string &line = lines[li];
-        const bool isLast = li + 1 == lines.size();
-
-        CorpusEntry e;
-        bool parsed = true;
+    const auto header = [&](const std::string &line) {
+        std::uint64_t version = 0;
+        std::uint64_t features = 0;
+        std::uint64_t buckets = 0;
         try {
-            const json::Value rec = json::parse(line);
-            e.seed = json::getU64(rec, "seed", ~std::uint64_t{0});
-            e.wave = json::getU64(rec, "wave", 0);
-            e.newBits = json::getU64(rec, "new_bits", 0);
-            const std::string cov = json::getStr(rec, "coverage");
-            const json::Value *mix = json::getObject(rec, "mix");
-            if (e.seed == ~std::uint64_t{0} || cov.empty() || !mix) {
-                parsed = false;
-            } else {
-                e.coverage = CoverageMap::fromHex(cov);
-                e.mix = mixFromJson(*mix);
-            }
-        } catch (const json::JsonError &) {
-            // Torn mid-field is "not parsed"; whether that is
-            // recoverable is the trailing-record test's call.
-            parsed = false;
+            const json::Value head = json::parse(line);
+            version = json::getU64(head, "msp_corpus", 0);
+            features = json::getU64(head, "features", 0);
+            buckets = json::getU64(head, "buckets", 0);
+        } catch (const json::JsonError &) {}
+        if (version != 1)
+            throw driver::CheckpointError(path + " is not a corpus file");
+        if (features != CoverageMap::numFeatures ||
+            buckets != CoverageMap::numBuckets) {
+            throw driver::CheckpointError(csprintf(
+                "corpus %s has coverage shape %llu x %llu, this build "
+                "uses %u x %u", path.c_str(),
+                static_cast<unsigned long long>(features),
+                static_cast<unsigned long long>(buckets),
+                CoverageMap::numFeatures, CoverageMap::numBuckets));
         }
-        if (!parsed || (isLast && !lastComplete)) {
-            if (!isLast) {
-                throw driver::CheckpointError(csprintf(
-                    "corpus %s is corrupt at record %zu (only a torn "
-                    "*trailing* record is recoverable)", path.c_str(),
-                    li));
-            }
-            ++torn;
-            tornBytes = line;
-            break;
-        }
+    };
+    const auto record = [&](const std::string &line) {
+        const json::Value rec = json::parse(line);
+        CorpusEntry e;
+        e.seed = json::getU64(rec, "seed", ~std::uint64_t{0});
+        e.wave = json::getU64(rec, "wave", 0);
+        e.newBits = json::getU64(rec, "new_bits", 0);
+        const std::string cov = json::getStr(rec, "coverage");
+        const json::Value *mix = json::getObject(rec, "mix");
+        if (e.seed == ~std::uint64_t{0} || cov.empty() || !mix)
+            return false;
+        e.coverage = CoverageMap::fromHex(cov);
+        e.mix = mixFromJson(*mix);
         agg.orWith(e.coverage);
         list.push_back(std::move(e));
-    }
-    if (torn > 0) {
-        // Quarantine rather than silently discard: the torn bytes land
-        // next to the corpus for post-mortems.
-        driver::writeFile(path + ".torn", tornBytes + "\n");
-    }
+        return true;
+    };
+    torn = driver::readTornTailJsonl(content, "corpus", path, header,
+                                     record);
     return true;
 }
 

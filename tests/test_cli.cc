@@ -8,6 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <set>
+#include <sstream>
+
 #include "driver/cli.hh"
 #include "driver/scenario.hh"
 
@@ -671,6 +680,230 @@ TEST(ParseCliArgs, TraceMode)
     EXPECT_THROW(parseCliArgs({"trace", "--workloads", "gzip", "--grid",
                                "g.json"}),
                  CliError);
+}
+
+using Args = std::vector<std::string>;
+
+bool
+parses(const Args &args)
+{
+    try {
+        parseCliArgs(args);
+        return true;
+    } catch (const CliError &) {
+        return false;
+    }
+}
+
+// Which flag each invocation shape accepts, cell for cell: 'A' when
+// the shape's command line plus the flag parses, '.' when it is a
+// user error. A cell whose flag changes the shape (the sweep plus
+// --workloads is verify --workloads) reads as the shape it becomes.
+// The prerequisite of a dependent flag rides along in its cell
+// (--corpus comes with --coverage); the rules themselves are pinned
+// in CrossFlagRulesArePinned.
+TEST(CliFlagTable, ShapeByFlagCellsArePinned)
+{
+    const std::vector<std::pair<const char *, Args>> shapes = {
+        {"scenario", {"fig6"}},
+        {"matrix", {"matrix", "--workloads", "gzip", "--configs", "cpr"}},
+        {"matrix --grid", {"matrix", "--grid", "g.json"}},
+        {"verify sweep", {"verify"}},
+        {"verify --workloads", {"verify", "--workloads", "gzip"}},
+        {"verify --grid", {"verify", "--grid", "g.json"}},
+        {"verify --repro", {"verify", "--repro", "d.json"}},
+        {"spec", {"spec", "--configs", "cpr"}},
+        {"trace", {"trace", "--workloads", "gzip"}},
+        {"bench", {"bench"}},
+        {"merge", {"merge", "a.json"}},
+    };
+    // Columns follow the shapes above. Named verify (--workloads,
+    // --grid) runs its jobs sequentially, so it rejects --threads as
+    // --repro replay does; it used to accept and ignore it.
+    const std::vector<std::pair<Args, const char *>> rows = {
+        {{"--threads", "1"},                   "AAAA.....A."},
+        {{"--instrs", "500"},                  "AAAAAAA..A."},
+        {{"--seed", "3"},                      ".AAAAA..AA."},
+        {{"--seeds", "5"},                     "...A......."},
+        {{"--json", "out.json"},               "AAAAAAAAAAA"},
+        {{"--csv", "out.csv"},                 "AAA........"},
+        {{"--quiet"},                          "AAAAAAAAAAA"},
+        {{"--fail-fast"},                      "...A......."},
+        {{"--snapshot-every", "64"},           "...AAAA...."},
+        {{"--budget-sec", "5"},                "...A......."},
+        {{"--reps", "2"},                      ".........A."},
+        {{"--baseline", "b.json"},             ".........A."},
+        {{"--gate-pct", "10"},                 ".........A."},
+        {{"--repro", "d.json"},                "...A..A...."},
+        {{"--bisect-exact"},                   "...A......."},
+        {{"--reduce"},                         "...A......."},
+        {{"--coverage"},                       "...A......."},
+        {{"--coverage", "--corpus", "c.jsonl"}, "...A......."},
+        {{"--coverage", "--waves", "2"},       "...A......."},
+        {{"--coverage", "--tune"},             "...A......."},
+        {{"--checkpoint", "c.jsonl"},          ".AAA......."},
+        {{"--checkpoint", "c.jsonl", "--checkpoint-every", "4"},
+                                               ".AAA......."},
+        {{"--resume", "c.jsonl"},              ".AAA......."},
+        {{"--shard", "0/2"},                   ".AAA......."},
+        {{"--machine", "m.json"},              ".A.AA......"},
+        {{"--grid", "g.json"},                 "..AA.A....."},
+        {{"--set", "lcs.latency=3"},           ".AAAAA.A..."},
+        {{"--workloads", "gzip"},              ".AAAA...AA."},
+        {{"--configs", "cpr"},                 ".A.AA..A.A."},
+        {{"--mixes", "branchy"},               "...A......."},
+        {{"--predictor", "tage"},              ".AAAAA.A.A."},
+    };
+    for (const auto &[shape, base] : shapes)
+        EXPECT_TRUE(parses(base)) << shape;
+    for (const auto &[flag, cells] : rows) {
+        ASSERT_EQ(std::string(cells).size(), shapes.size());
+        for (std::size_t s = 0; s < shapes.size(); ++s) {
+            Args args = shapes[s].second;
+            args.insert(args.end(), flag.begin(), flag.end());
+            EXPECT_EQ(parses(args), cells[s] == 'A')
+                << shapes[s].first << " + " << flag.front() << " "
+                << flag.back();
+        }
+    }
+}
+
+// One case (or a few) per rule that spans flags rather than shapes.
+TEST(CliFlagTable, CrossFlagRulesArePinned)
+{
+    const std::vector<std::pair<Args, bool>> cases = {
+        // --shard grammar and ranges.
+        {{"verify", "--shard", "1/2"}, true},
+        {{"verify", "--shard", "2"}, false},
+        {{"verify", "--shard", "2/2"}, false},
+        {{"verify", "--shard", "0/0"}, false},
+        // --checkpoint-every needs --checkpoint or --resume.
+        {{"verify", "--checkpoint-every", "4"}, false},
+        {{"verify", "--resume", "c.jsonl", "--checkpoint-every", "4"},
+         true},
+        // --corpus, --waves and --tune need --coverage.
+        {{"verify", "--corpus", "c.jsonl"}, false},
+        {{"verify", "--waves", "2"}, false},
+        {{"verify", "--tune"}, false},
+        // --coverage excludes durable state.
+        {{"verify", "--coverage", "--checkpoint", "c.jsonl"}, false},
+        {{"verify", "--coverage", "--resume", "c.jsonl"}, false},
+        {{"verify", "--coverage", "--shard", "0/2"}, false},
+        // --grid excludes --configs and --machine.
+        {{"matrix", "--grid", "g.json", "--configs", "cpr"}, false},
+        {{"verify", "--grid", "g.json", "--machine", "m.json"}, false},
+        // matrix needs workloads and a machine, or a grid.
+        {{"matrix"}, false},
+        {{"matrix", "--workloads", "gzip"}, false},
+        {{"matrix", "--configs", "cpr"}, false},
+        {{"matrix", "--workloads", "gzip", "--machine", "m.json"}, true},
+        // spec needs exactly one machine.
+        {{"spec"}, false},
+        {{"spec", "--machine", "m.json"}, true},
+        {{"spec", "--configs", "cpr,16sp"}, false},
+        {{"spec", "--configs", "cpr", "--machine", "m.json"}, false},
+        // trace dumps exactly one workload.
+        {{"trace"}, false},
+        {{"trace", "--workloads", "gzip,gcc"}, false},
+        // merge needs at least one report.
+        {{"merge"}, false},
+        {{"merge", "a.json", "b.json"}, true},
+        // bench runs on one thread.
+        {{"bench", "--threads", "2"}, false},
+        {{"bench", "--threads", "0"}, false},
+    };
+    for (const auto &[args, ok] : cases) {
+        std::string line;
+        for (const std::string &a : args)
+            line += a + " ";
+        EXPECT_EQ(parses(args), ok) << line;
+    }
+}
+
+TEST(CliFlagTable, UsageTextDocumentsExactlyTheTable)
+{
+    const std::string usage = driver::usageText();
+    const std::vector<std::string> flags = driver::flagNames();
+    // Whole tokens only: "-h" must not count as found inside "--help".
+    std::set<std::string> tokens;
+    const auto wordChar = [](char c) {
+        return (c >= 'a' && c <= 'z') || c == '-';
+    };
+    for (std::size_t i = 0; i < usage.size(); ++i) {
+        if (usage[i] != '-' || (i > 0 && wordChar(usage[i - 1])))
+            continue;
+        std::size_t end = i;
+        while (end < usage.size() && wordChar(usage[end]))
+            ++end;
+        tokens.insert(usage.substr(i, end - i));
+        i = end;
+    }
+    for (const std::string &f : flags)
+        EXPECT_TRUE(tokens.count(f)) << f << " is not in usageText()";
+    for (const std::string &tok : tokens) {
+        if (tok.rfind("--", 0) != 0)
+            continue;
+        EXPECT_NE(std::find(flags.begin(), flags.end(), tok), flags.end())
+            << tok << " in usageText() has no row in the flag table";
+    }
+}
+
+// Named verification runs its jobs one after another; a --threads it
+// would ignore is a user error, as it is for --repro replay.
+TEST(ParseCliArgs, NamedVerifyRejectsThreads)
+{
+    EXPECT_THROW(parseCliArgs({"verify", "--workloads", "gzip",
+                               "--threads", "4"}),
+                 CliError);
+    EXPECT_THROW(parseCliArgs({"verify", "--grid", "g.json", "--threads",
+                               "4"}),
+                 CliError);
+    EXPECT_NO_THROW(parseCliArgs({"verify", "--threads", "4"}));
+}
+
+/** Run the built msp_sim with @p args; its exit status. */
+int
+runMspSim(const std::string &args)
+{
+    const int status =
+        std::system((std::string(MSP_SIM_BIN) + " " + args).c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream s;
+    s << in.rdbuf();
+    return s.str();
+}
+
+// verify --grid resolves its machines like matrix --grid: --set lands
+// on every point, and a point whose spec changed is relabelled.
+TEST(MspSim, VerifyGridAppliesSetToEveryPoint)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string grid = dir + "msp_cli_verify_grid.json";
+    std::ofstream(grid) << "{\"name\": \"g\", \"base\": \"16sp\", \"axes\": "
+                           "[{\"keys\": {\"workload.name\": [\"gzip\"]}}]}";
+    const std::string run = "verify --grid " + grid +
+                            " --instrs 2000 --quiet --json " + dir;
+    ASSERT_EQ(runMspSim(run + "msp_cli_plain.json"), 0);
+    ASSERT_EQ(runMspSim(run + "msp_cli_set.json --set lcs.latency=7 "
+                              "--set width.issue=1"),
+              0);
+    const std::string plain = slurp(dir + "msp_cli_plain.json");
+    const std::string set = slurp(dir + "msp_cli_set.json");
+    EXPECT_NE(plain.find("\"config\": \"16-SP+Arb\""), std::string::npos)
+        << plain;
+    EXPECT_NE(plain, set);
+    EXPECT_NE(set.find("\"config\": \"16sp+width.issue=1+lcs.latency=7\""),
+              std::string::npos)
+        << set;
+    for (const char *f : {"msp_cli_verify_grid.json", "msp_cli_plain.json",
+                          "msp_cli_set.json"})
+        std::remove((dir + f).c_str());
 }
 
 TEST(ParseCliArgs, MalformedFlagsThrow)

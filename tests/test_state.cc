@@ -110,6 +110,44 @@ TEST(StateCodec, SimResultRoundTripsExactly)
     EXPECT_EQ(back.bankStallCycles, r.bankStallCycles);
 }
 
+// Checkpoints written before the counters were listed in report order
+// carry their keys in the old order; the reader looks keys up by name.
+TEST(StateCodec, SimResultReadsTheEarlierKeyOrder)
+{
+    const std::string earlier =
+        "{\"workload\": \"gzip\", \"config\": \"16-SP+Arb\", "
+        "\"cycles\": 1, \"committed\": 2, \"wrong_path_exec\": 3, "
+        "\"re_executed\": 4, \"total_executed\": 5, \"branches\": 6, "
+        "\"mispredicts\": 7, \"recoveries\": 8, \"exceptions\": 9, "
+        "\"rename_stall_cycles\": 10, \"reg_stall_cycles\": 11, "
+        "\"sq_stall_cycles\": 12, \"iq_stall_cycles\": 13, "
+        "\"checkpoints_taken\": 14, \"l2_misses\": 15, "
+        "\"bank_stall_cycles\": [16, 0, 17]}";
+    RunResult want;
+    want.workload = "gzip";
+    want.config = "16-SP+Arb";
+    want.cycles = 1;
+    want.committed = 2;
+    want.wrongPathExec = 3;
+    want.reExecuted = 4;
+    want.totalExecuted = 5;
+    want.branches = 6;
+    want.mispredicts = 7;
+    want.recoveries = 8;
+    want.exceptions = 9;
+    want.renameStallCycles = 10;
+    want.regStallCycles = 11;
+    want.sqStallCycles = 12;
+    want.iqStallCycles = 13;
+    want.checkpointsTaken = 14;
+    want.l2Misses = 15;
+    want.bankStallCycles[0] = 16;
+    want.bankStallCycles[2] = 17;
+    EXPECT_EQ(driver::simResultFromJson(earlier), want);
+    EXPECT_EQ(driver::simResultFromJson(driver::simResultToJson(want)),
+              want);
+}
+
 TEST(StateCodec, DiffOutcomeRoundTripsExactly)
 {
     verify::DiffOutcome o;

@@ -14,7 +14,7 @@
  *   msp_sim verify --seeds 100 --json divergences.json
  *
  * Argument parsing lives in src/driver/cli.{hh,cc} (unit-tested);
- * this file only renders usage/reports and wires the campaigns.
+ * this file only renders reports and wires the campaigns.
  */
 
 #include <algorithm>
@@ -78,183 +78,6 @@ configureState(CampaignState &state, const CliOptions &o)
         return;
     state.configure(o.checkpointPath, o.checkpointEvery,
                     !o.resumePath.empty(), o.resumePath);
-}
-
-void
-printUsage(std::FILE *to)
-{
-    std::fputs(
-        "usage: msp_sim <scenario> [options]\n"
-        "       msp_sim matrix --workloads A,B --configs C,D [options]\n"
-        "       msp_sim matrix --grid FILE [options]\n"
-        "       msp_sim verify [--seeds N] [--mixes M,N] [options]\n"
-        "       msp_sim verify (--workloads A,B | --grid FILE) [options]\n"
-        "       msp_sim trace --workloads NAME [--seed N] [--json FILE]\n"
-        "       msp_sim bench [--reps N] [--baseline FILE] [options]\n"
-        "       msp_sim spec (--configs P | --machine FILE) [--set k=v]\n"
-        "       msp_sim merge SHARD.json... [--json FILE]\n"
-        "       msp_sim --list\n"
-        "\n"
-        "options:\n"
-        "  --threads N    worker threads (default: all hardware threads;\n"
-        "                 1 = single-threaded reference run)\n"
-        "  --instrs N     committed-instruction budget per run\n"
-        "                 (default: 60000;\n"
-        "                 verify default: 1M as a safety bound)\n"
-        "  --json FILE    write per-job results as JSON\n"
-        "  --csv FILE     write per-job results as CSV (not verify)\n"
-        "  --quiet        suppress the header and per-job progress\n"
-        "\n"
-        "campaign state (matrix and verify modes):\n"
-        "  --checkpoint FILE\n"
-        "                 append per-job completion records to FILE as\n"
-        "                 the campaign runs (atomic header rewrite, then\n"
-        "                 flushed appends)\n"
-        "  --checkpoint-every N\n"
-        "                 flush cadence in completed jobs (default 32)\n"
-        "  --resume FILE  skip jobs already recorded in FILE and keep\n"
-        "                 checkpointing to it; the final report is\n"
-        "                 byte-identical to an uninterrupted run at any\n"
-        "                 thread count. A torn trailing record (crash\n"
-        "                 mid-append) is quarantined to FILE.torn; any\n"
-        "                 other corruption or a checkpoint from a\n"
-        "                 different command line fails with exit 2\n"
-        "  --shard i/N    run only shard i of N (deterministic split;\n"
-        "                 verify shards by fuzzed program so the timing\n"
-        "                 invariant stays intra-shard); write each\n"
-        "                 shard's --json, then fold them with merge\n"
-        "  merge mode reassembles shard reports into one document\n"
-        "  byte-identical to the unsharded run's (--json FILE or stdout)\n"
-        "  SIGINT/SIGTERM stop a campaign cooperatively: in-flight jobs\n"
-        "  finish and are checkpointed, a partial report is written, and\n"
-        "  msp_sim exits 3; a second signal force-quits\n"
-        "\n"
-        "machine specs (matrix, verify and spec modes):\n"
-        "  --machine FILE load a machine from a JSON spec file (flat\n"
-        "                 {\"key\": value} object of registered dotted\n"
-        "                 parameters; optional \"base\" preset and\n"
-        "                 \"label\"); added to the --configs machines\n"
-        "  --set k=v      override one registered parameter (e.g.\n"
-        "                 --set cpr.checkpoints=4 --set lcs.latency=3)\n"
-        "                 on every selected machine; repeatable.\n"
-        "                 Precedence: --set over --machine over preset\n"
-        "  spec mode dumps the resolved machine as JSON (--json FILE or\n"
-        "  stdout) plus its diff against the nearest preset baseline —\n"
-        "  the file round-trips through --machine bit-identically\n"
-        "\n"
-        "matrix mode:\n"
-        "  --workloads    comma-separated workload-registry names:\n"
-        "                 SPEC benchmarks (gzip, gcc, swim, ...),\n"
-        "                 tight-loop, ptrchase, prodcons, interp, or\n"
-        "                 trace:FILE (a JSONL trace; see trace mode)\n"
-        "  --configs      comma-separated presets: baseline, cpr, ideal,\n"
-        "                 <n>sp (e.g. 16sp), <n>sp-noarb\n"
-        "  --predictor    gshare (default) or tage\n"
-        "  --seed N       workload-synthesis seed (default 1)\n"
-        "  --grid FILE    expand a grid document (named axes of dotted\n"
-        "                 spec keys, crossed or zipped) into the job\n"
-        "                 list; the per-figure documents ship in\n"
-        "                 examples/grids/. A grid with a workload.name\n"
-        "                 or workload.trace axis is a complete campaign;\n"
-        "                 one without is a machine list crossed with\n"
-        "                 --workloads. Composes with --set (applied on\n"
-        "                 top of every point), --shard, --checkpoint/\n"
-        "                 --resume and merge\n"
-        "\n"
-        "trace mode (dump a registry workload as an editable trace):\n"
-        "  --workloads NAME   the workload to dump (one name)\n"
-        "  --seed N           synthesis seed (default 1)\n"
-        "  --json FILE        write the JSONL trace (default: stdout);\n"
-        "                     re-ingest it with workload trace:FILE or\n"
-        "                     a workload.trace grid axis\n"
-        "\n"
-        "bench mode (simulator throughput, MInstr/s per config):\n"
-        "  --configs      presets to time (default: baseline, cpr,\n"
-        "                 ideal, 4sp, 8sp, 16sp)\n"
-        "  --workloads    workloads per timed sweep (default:\n"
-        "                 gzip,gcc,swim,mcf)\n"
-        "  --instrs N     committed budget per run (default 200000)\n"
-        "  --reps N       timed repetitions per config (default 3);\n"
-        "                 the best repetition is the throughput figure,\n"
-        "                 and committed/cycle counts must be identical\n"
-        "                 across repetitions (determinism check)\n"
-        "  --threads 1    pin the process to one CPU before timing\n"
-        "                 (bench always runs sequentially)\n"
-        "  --json FILE    write the BENCH_throughput.json report\n"
-        "                 (refused with a warning in sanitized builds:\n"
-        "                 those timings must never become a baseline)\n"
-        "  --baseline FILE\n"
-        "                 gate against a previous report: exit 1 when\n"
-        "                 any config's MInstr/s fell more than the gate\n"
-        "                 percentage; skipped loudly when the host\n"
-        "                 fingerprint differs from the baseline's\n"
-        "  --gate-pct P   regression threshold (default 15)\n"
-        "\n"
-        "verify mode (differential fuzzing against the functional "
-        "executor):\n"
-        "  --seeds N      fuzzed programs per mix (default 100)\n"
-        "  --mixes A,B    fuzz mixes: mixed, branchy, memory, fploop,\n"
-        "                 fpedge (default: all)\n"
-        "  --configs      presets to verify (default: the full Table I\n"
-        "                 ladder incl. Baseline and CPR)\n"
-        "  --predictor    gshare (default) or tage\n"
-        "  --seed N       base seed for program generation (default 1)\n"
-        "  --workloads A,B\n"
-        "                 verify named registry workloads instead of\n"
-        "                 fuzzed programs: each workload runs on each\n"
-        "                 selected machine under the differential\n"
-        "                 oracle, sequentially (exit 1 on divergence)\n"
-        "  --grid FILE    verify every point of a workload-binding grid\n"
-        "                 document (point machine x point workload)\n"
-        "  --snapshot-every N\n"
-        "                 compare architectural state against the\n"
-        "                 functional model every N commits, localising\n"
-        "                 a divergence to a commit window\n"
-        "  --fail-fast    stop starting new jobs after the first\n"
-        "                 divergence (remaining jobs report skipped)\n"
-        "  --budget-sec S wall-clock budget; jobs not started in time\n"
-        "                 report skipped\n"
-        "  --repro FILE   replay the reproducers recorded in a --json\n"
-        "                 divergence report (each carries its complete\n"
-        "                 machine spec — and, for structurally reduced\n"
-        "                 failures, the reduced program image itself —\n"
-        "                 so custom ablation machines and reduced\n"
-        "                 programs replay bit-identically; exit 2 on\n"
-        "                 unparseable repros)\n"
-        "  --bisect-exact after shrinking, re-run each divergent job\n"
-        "                 with binary-searched probe points until the\n"
-        "                 single first divergent commit is found\n"
-        "                 (first_bad_commit in the report)\n"
-        "  --reduce       after shrinking, structurally reduce the\n"
-        "                 program image itself (drop whole blocks /\n"
-        "                 helpers / loop bodies, relink branches) and\n"
-        "                 embed the reduced program in the report\n"
-        "  --coverage     harvest per-run path coverage (stall\n"
-        "                 transitions, predictor edges, squash depths,\n"
-        "                 SQ forwarding, SCT/LCS activity) into a\n"
-        "                 (feature, bucket) bitmap; adds a \"coverage\"\n"
-        "                 summary and per-row coverage to the report and\n"
-        "                 canonicalises repros by root cause (duplicate\n"
-        "                 failures fold into one repro with a\n"
-        "                 \"duplicates\" count). Does not combine with\n"
-        "                 --checkpoint/--resume/--shard\n"
-        "  --corpus FILE  keep the coverage-novel (mix, seed) entries in\n"
-        "                 a JSONL corpus (atomic rewrite; a torn\n"
-        "                 trailing record is quarantined to FILE.torn);\n"
-        "                 an existing corpus seeds the aggregate map\n"
-        "  --waves N      run the sweep N times (needs --coverage);\n"
-        "                 corpus admission happens between waves\n"
-        "  --tune         reweight the fuzz mixes between waves toward\n"
-        "                 coverage holes (pure function of the\n"
-        "                 aggregated map and --seed, so campaigns stay\n"
-        "                 bit-identical at any --threads)\n"
-        "  Divergent jobs are re-fuzzed through the shrinker; minimal\n"
-        "  reproducers land in the --json report under \"repros\".\n"
-        "  After a clean sweep that ran both machines, a coarse timing\n"
-        "  invariant (ideal-MSP IPC >= 16-SP IPC per fuzzed program)\n"
-        "  is asserted; violations report as \"timing\" divergences.\n"
-        "  exit status 1 when any run diverges\n",
-        to);
 }
 
 /** Dump one resolved machine spec as JSON plus its preset diff. */
@@ -423,22 +246,7 @@ runMatrix(const CliOptions &o)
     std::string specDiffs;  ///< non-preset machines, as preset diffs
     if (!o.gridPath.empty()) {
         grid::Grid g = loadGrid(o);
-        // --set applies on top of every expanded point, the same
-        // precedence it has over presets and --machine files; a point
-        // whose spec actually changed is relabelled with its
-        // describeSpec() identity so the grid label cannot lie. Each
-        // finished point must then be buildable (checkMachine).
-        {
-            std::vector<MachineConfig> machines;
-            machines.reserve(g.points.size());
-            for (const grid::GridPoint &pt : g.points)
-                machines.push_back(pt.machine);
-            applySpecSets(machines, o.sets);
-            for (std::size_t i = 0; i < machines.size(); ++i) {
-                checkMachine(machines[i]);
-                g.points[i].machine = std::move(machines[i]);
-            }
-        }
+        const std::vector<MachineConfig> configs = resolveMachines(o, &g);
         const bool bound =
             !g.points.empty() && !g.points.front().workload.empty();
         if (bound && !o.workloads.empty()) {
@@ -457,10 +265,6 @@ runMatrix(const CliOptions &o)
             for (CampaignJob &j : gridJobs(scen, g, o.instrs, o.seed))
                 campaign.add(std::move(j));
         } else {
-            std::vector<MachineConfig> configs;
-            configs.reserve(g.points.size());
-            for (const grid::GridPoint &pt : g.points)
-                configs.push_back(pt.machine);
             campaign.addMatrix(o.workloads, configs, o.instrs, o.seed,
                                scen);
         }
@@ -651,7 +455,7 @@ runVerifyNamed(const CliOptions &o)
     };
     std::vector<NamedJob> jobs;
     if (!o.gridPath.empty()) {
-        const grid::Grid g = loadGrid(o);
+        grid::Grid g = loadGrid(o);
         for (const grid::GridPoint &pt : g.points) {
             if (pt.workload.empty()) {
                 throw CliError(csprintf("grid '%s' binds no workloads; "
@@ -660,20 +464,13 @@ runVerifyNamed(const CliOptions &o)
                                         "workload.trace axis",
                                         g.name.c_str()));
             }
-            checkMachine(pt.machine);
+        }
+        resolveMachines(o, &g);
+        for (const grid::GridPoint &pt : g.points)
             jobs.push_back({pt.workload, pt.hasSeed ? pt.seed : o.seed,
                             pt.machine});
-        }
     } else {
-        std::vector<MachineConfig> configs;
-        if (o.configNames.empty() && o.machinePath.empty()) {
-            configs = figureLadder(o.predictor);
-            applySpecSets(configs, o.sets);
-            for (const MachineConfig &m : configs)
-                checkMachine(m);
-        } else {
-            configs = resolveMachines(o);
-        }
+        const std::vector<MachineConfig> configs = resolveMachines(o);
         for (const std::string &w : o.workloads)
             for (const MachineConfig &cfg : configs)
                 jobs.push_back({w, o.seed, cfg});
@@ -727,18 +524,7 @@ runVerify(const CliOptions &o)
     if (!o.workloads.empty() || !o.gridPath.empty())
         return runVerifyNamed(o);
 
-    // Machine selection: named presets and/or a --machine spec file,
-    // defaulting to the full Table I ladder; --set overrides apply on
-    // top of whichever machines were selected.
-    std::vector<MachineConfig> configs;
-    if (o.configNames.empty() && o.machinePath.empty()) {
-        configs = figureLadder(o.predictor);
-        applySpecSets(configs, o.sets);
-        for (const MachineConfig &m : configs)
-            checkMachine(m);
-    } else {
-        configs = resolveMachines(o);
-    }
+    const std::vector<MachineConfig> configs = resolveMachines(o);
 
     std::vector<verify::FuzzMix> mixes;
     if (o.mixNames.empty()) {
@@ -1176,12 +962,12 @@ main(int argc, char **argv)
         o = parseCliArgs(std::vector<std::string>(argv + 1, argv + argc));
     } catch (const CliError &e) {
         std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        printUsage(stderr);
+        std::fputs(usageText(), stderr);
         return 2;
     }
 
     if (o.help) {
-        printUsage(stdout);
+        std::fputs(usageText(), stdout);
         return 0;
     }
     if (o.list) {
